@@ -112,6 +112,14 @@ func TestTrendLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A record from the multi-process era carries a "topology" object
+	// the reader no longer knows; it is one more fpgen point.
+	host, err := json.Marshal(runlog.CurrentHost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"schema":1,"tool":"fpgen","timestamp":"2026-07-05T00:00:00Z","host":` + string(host) +
+		`,"wall_seconds":0.5,"topology":{"procs":3,"workers_per_proc":2,"worker_wall_seconds":[1,1,1]}}` + "\n")
 	f.WriteString(`{"schema":1,"tool":"fpgen","wall`) // truncated tail
 	f.Close()
 
@@ -120,7 +128,7 @@ func TestTrendLedger(t *testing.T) {
 		t.Fatalf("trendReport: %v", err)
 	}
 	for _, want := range []string{
-		"4 records (1 line(s) skipped)",
+		"5 records (1 line(s) skipped)",
 		"fpgen wall_seconds",
 		"fpbench wall_seconds",
 		"nonzero exit: fpbench @ 2026-07-04T00:00:00Z (status 1)",
@@ -131,35 +139,25 @@ func TestTrendLedger(t *testing.T) {
 	}
 }
 
-// TestTrendLedgerTopologyAnnotation: a distributed run's wall time is
-// keyed by host AND topology, so when it drifts against the
-// single-process baseline the variance note names the fan-out instead
-// of blaming the code.
-func TestTrendLedgerTopologyAnnotation(t *testing.T) {
-	dir := t.TempDir()
-	ledger := filepath.Join(dir, "ledger.jsonl")
-	for i, wall := range []float64{0.5, 0.51, 0.49, 0.5} {
-		rec := runlog.Record{Schema: runlog.Schema, Tool: "fpgen", Timestamp: "2026-08-0" + itoa(i+1) + "T00:00:00Z",
-			Host: runlog.CurrentHost(), WallSeconds: wall}
-		if err := runlog.Append(ledger, rec); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := runlog.Append(ledger, runlog.Record{Schema: runlog.Schema, Tool: "fpgen",
-		Timestamp: "2026-08-05T00:00:00Z", Host: runlog.CurrentHost(), WallSeconds: 5,
-		Topology: &runlog.Topology{Procs: 3, WorkersPerProc: 2, WorkerWallSeconds: []float64{1, 1, 1}}}); err != nil {
+// TestTrendCommittedHistory runs the trend report over the repository's
+// own BENCH_history.jsonl, which spans the real schema eras up to a v9
+// entry carrying the retired "distrib" array: every line must parse.
+func TestTrendCommittedHistory(t *testing.T) {
+	const path = "../../BENCH_history.jsonl"
+	data, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	out, err := trendReport(filepath.Join(dir, "no-history.jsonl"), ledger, benchcmp.DriftParams{})
+	if !strings.Contains(string(data), `"distrib":[`) {
+		t.Fatalf("%s has no distrib-era entry to read", path)
+	}
+	lines := strings.Count(strings.TrimRight(string(data), "\n"), "\n") + 1
+	out, err := trendReport(path, filepath.Join(t.TempDir(), "missing-ledger.jsonl"), benchcmp.DriftParams{})
 	if err != nil {
 		t.Fatalf("trendReport: %v", err)
 	}
-	if !strings.Contains(out, "distrib=3x2") {
-		t.Errorf("drifted distributed run not annotated with its topology:\n%s", out)
-	}
-	if !strings.Contains(out, "likely host variance") {
-		t.Errorf("topology mismatch not flagged as host variance:\n%s", out)
+	if want := itoa(lines) + " entries (0 line(s) skipped)"; !strings.Contains(out, want) {
+		t.Errorf("trend output missing %q:\n%s", want, out)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"fpstudy/internal/colstore"
 	"fpstudy/internal/quiz"
+	"fpstudy/internal/respondent"
 	"fpstudy/internal/survey"
 )
 
@@ -176,4 +177,50 @@ func (d *drip) Read(p []byte) (int, error) {
 	n := copy(p[:min(len(p), 7)], d.data[d.off:])
 	d.off += n
 	return n, nil
+}
+
+// FuzzDecodeJSON feeds arbitrary bytes to the streaming row-JSON
+// decoder, seeded with small generated cohorts in fpgen's JSON format.
+// It must never panic, and anything it accepts must serialize again:
+// WriteJSON and EncodeBinary succeed, and decoding the written JSON
+// reproduces it byte for byte.
+func FuzzDecodeJSON(f *testing.F) {
+	schema := quiz.Columns()
+	for _, d := range []*colstore.Dataset{
+		respondent.GenerateMainColumnar(42, 3, 1, nil, respondent.Instrumentation{}).Cols,
+		respondent.GenerateStudentsColumnar(43, 2, 1, respondent.Instrumentation{}),
+		schema.NewDataset("1.0", 0),
+	} {
+		var buf bytes.Buffer
+		if err := d.WriteJSON(&buf); err != nil {
+			f.Fatalf("WriteJSON: %v", err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte(`{"responses":[{"answers":{"bg.role":{"choice":"Other","other":"x"}}}]}`))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		d, err := colstore.DecodeJSON(schema, bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := d.WriteJSON(&out); err != nil {
+			t.Fatalf("WriteJSON of accepted input failed: %v", err)
+		}
+		if err := d.EncodeBinary(io.Discard, colstore.IOOptions{}); err != nil {
+			t.Fatalf("EncodeBinary of accepted input failed: %v", err)
+		}
+		again, err := colstore.DecodeJSON(schema, bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("re-decode of written JSON failed: %v", err)
+		}
+		var out2 bytes.Buffer
+		if err := again.WriteJSON(&out2); err != nil {
+			t.Fatalf("WriteJSON after re-decode failed: %v", err)
+		}
+		if !bytes.Equal(out.Bytes(), out2.Bytes()) {
+			t.Fatal("written JSON is not a fixed point of DecodeJSON")
+		}
+	})
 }

@@ -522,31 +522,6 @@ func (r *Results) Figure21() report.Table {
 		quiz.BGRole, false, paperdata.Figure21OptRoleEffect, labels(paperdata.Figure5Roles))
 }
 
-// SuspicionDistribution tabulates the Likert distribution of one
-// suspicion item over a row-form dataset.
-func SuspicionDistribution(ds *survey.Dataset, itemID string) stats.LikertDist {
-	var levels []int
-	for _, r := range ds.Responses {
-		if a := r.Answer(itemID); a.Level > 0 {
-			levels = append(levels, a.Level)
-		}
-	}
-	return stats.NewLikertDist(levels, 5)
-}
-
-// SuspicionDistributionCols is SuspicionDistribution over columnar
-// storage: a single walk of the item's Likert column.
-func SuspicionDistributionCols(d *colstore.Dataset, itemID string) stats.LikertDist {
-	ci := d.Schema.MustColumnIndex(itemID)
-	var levels []int
-	for i := 0; i < d.Len(); i++ {
-		if lv := d.LikertLevel(ci, i); lv > 0 {
-			levels = append(levels, lv)
-		}
-	}
-	return stats.NewLikertDist(levels, 5)
-}
-
 // suspicionDistQuery computes a suspicion item's Likert distribution
 // through the engine: a count-only group-by on the level column. The
 // per-level counts rebuild the distribution bit-identically

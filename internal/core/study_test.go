@@ -159,7 +159,7 @@ func TestBackgroundFigureComparesToPaper(t *testing.T) {
 }
 
 func TestSuspicionDistributionHelper(t *testing.T) {
-	d := SuspicionDistribution(bigResults.Main.Dataset, "susp.invalid")
+	d := suspicionDistQuery(bigResults.MainSource(), "susp.invalid", bigResults.workers)
 	if d.N != 4000 {
 		t.Fatalf("n = %d", d.N)
 	}

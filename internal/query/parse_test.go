@@ -135,3 +135,37 @@ func TestParseErrors(t *testing.T) {
 		}
 	}
 }
+
+// FuzzParse feeds arbitrary expressions to the parser over the quiz
+// schema and its derived-value resolver: it must never panic, and any
+// expression it accepts must run and render on a small cohort.
+func FuzzParse(f *testing.F) {
+	s := quiz.Columns()
+	src := query.NewDatasetSource(randomCohort(f, rand.New(rand.NewSource(43)), 40))
+	resolve := func(name string) (query.Value, error) { return quiz.QueryValue(s, name) }
+	for _, expr := range []string{
+		"//count",
+		"susp.invalid>=4/bg.contrib_size/count",
+		"/bg.formal_training/mean:core.score",
+		"bg.formal_training!=None/bg.contrib_size/mean:susp.invalid",
+		"bg.formal_training!=None & bg.role=My main role is as a software engineer/bg.contrib_size/count",
+		"bg.informal_training~=Discussed with coworkers/etc//sum:opt.score",
+		"",
+		"/",
+	} {
+		f.Add(expr)
+	}
+	f.Fuzz(func(t *testing.T, expr string) {
+		p, err := query.Parse(s, expr, resolve)
+		if err != nil {
+			return
+		}
+		res, err := query.Run(src, p.Query, 2)
+		if err != nil {
+			t.Fatalf("Run of accepted expression %q: %v", expr, err)
+		}
+		if p.Render(res) == "" {
+			t.Fatalf("accepted expression %q rendered nothing", expr)
+		}
+	})
+}

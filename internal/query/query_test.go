@@ -55,7 +55,7 @@ func randomAnswer(rng *rand.Rand, q survey.Question) (survey.Answer, bool) {
 
 // randomCohort builds a seeded-random columnar cohort over the quiz
 // instrument, including spill paths.
-func randomCohort(t *testing.T, rng *rand.Rand, n int) *colstore.Dataset {
+func randomCohort(t testing.TB, rng *rand.Rand, n int) *colstore.Dataset {
 	t.Helper()
 	ins := quiz.Instrument()
 	ds := &survey.Dataset{Instrument: ins.Title, Version: ins.Version,

@@ -360,17 +360,11 @@ func (qm questionModel) dkProb(ability float64) float64 {
 
 // GenerateMain builds the main cohort: n respondents with full
 // background, core, optimization, and suspicion answers, calibrated
-// against the paper's published aggregates. It parallelizes across
-// GOMAXPROCS workers; the output is identical at any worker count.
+// against the paper's published aggregates, with the row view
+// materialized. It parallelizes across GOMAXPROCS workers; the output
+// is identical at any worker count.
 func GenerateMain(seed int64, n int) *Population {
-	return GenerateMainWithWorkers(seed, n, 0, nil)
-}
-
-// GenerateMainWorkers is GenerateMain with an explicit worker count
-// (workers <= 0 means GOMAXPROCS). The worker count never affects the
-// generated data, only the wall-clock time.
-func GenerateMainWorkers(seed int64, n, workers int) *Population {
-	return GenerateMainWithWorkers(seed, n, workers, nil)
+	return GenerateMainWith(seed, n, nil)
 }
 
 // GenerateMainWith is GenerateMain with a background override applied
@@ -383,24 +377,8 @@ func GenerateMainWorkers(seed int64, n, workers int) *Population {
 // override world is generated with offsets calibrated on an unmodified
 // cohort drawn from the same seed.
 func GenerateMainWith(seed int64, n int, override func(*Profile)) *Population {
-	return GenerateMainWithWorkers(seed, n, 0, override)
-}
-
-// GenerateMainWithWorkers is GenerateMainWith with an explicit worker
-// count.
-func GenerateMainWithWorkers(seed int64, n, workers int, override func(*Profile)) *Population {
-	return GenerateMainInstrumented(seed, n, workers, override, Instrumentation{})
-}
-
-// GenerateMainInstrumented is the fully parameterized main-cohort
-// generator: explicit worker count, optional background override, and
-// optional telemetry. The instrumentation records the stage span tree
-// (draw-profiles → calibrate → sample-responses) and streams per-block
-// progress; it never affects the generated data. The row view is
-// materialized; use GenerateMainColumnar to skip it.
-func GenerateMainInstrumented(seed int64, n, workers int, override func(*Profile), inst Instrumentation) *Population {
-	p := GenerateMainColumnar(seed, n, workers, override, inst)
-	p.MaterializeDataset(workers)
+	p := GenerateMainColumnar(seed, n, 0, override, Instrumentation{})
+	p.MaterializeDataset(0)
 	return p
 }
 
@@ -479,17 +457,6 @@ func generateFromProfiles(workers int, seed int64, profiles, calib []Profile, in
 // using one shared ability kernel per ability kind (the exp(-a) array
 // is computed once and reused by all ~19 bisections).
 func calibrateModels(workers int, calib []Profile, inst Instrumentation) []questionModel {
-	return calibrateFromAbilities(workers, abilitiesOf(calib, false), abilitiesOf(calib, true), inst)
-}
-
-// calibrateFromAbilities is calibrateModels against raw ability
-// arrays. Calibration is the pipeline's one global reduction — each
-// bisection step sums invlogit terms over the whole cohort with the
-// fixed-shard deterministic sums — so a distributed generation gathers
-// every worker's abilities and calls this once on the coordinator,
-// reproducing the single-process offsets bit for bit (the ability
-// kernel and SumShards shard layout depend only on len(coreAbil)).
-func calibrateFromAbilities(workers int, coreAbil, optAbil []float64, inst Instrumentation) []questionModel {
 	// The oracle-backed answer key is computed once (cached in quiz) and
 	// shared read-only by every worker.
 	type modelSpec struct {
@@ -525,8 +492,8 @@ func calibrateFromAbilities(workers int, coreAbil, optAbil []float64, inst Instr
 		specs = append(specs, modelSpec{qm: qm, target: row.Correct / 100, optAbil: true})
 	}
 	csp := inst.Span.StartChild("calibrate")
-	coreKernel := newAbilityKernel(workers, coreAbil)
-	optKernel := newAbilityKernel(workers, optAbil)
+	coreKernel := newAbilityKernel(workers, abilitiesOf(calib, false))
+	optKernel := newAbilityKernel(workers, abilitiesOf(calib, true))
 	// Calibrate the questions concurrently; each bisection is
 	// independent and deterministic.
 	lh := latencyHook.Load()
@@ -628,13 +595,6 @@ type colSampler struct {
 	d  *colstore.Dataset
 	bg *bgTables
 
-	// base is the global index of d's row 0. The single-process path
-	// leaves it 0; a distributed worker sampling respondents [lo, hi)
-	// into a local hi-lo row dataset sets base=lo so every RNG stream
-	// is still seeded at the respondent's global index — the property
-	// that makes the merged output byte-identical to one process.
-	base int
-
 	models []colModel
 
 	suspCI  []int
@@ -721,7 +681,7 @@ func (cs *colSampler) sampleBlock(rng *parallel.XRand, seed int64, lo, hi int, p
 			abil = optAbil
 		}
 		for i := lo; i < hi; i++ {
-			rng.SeedAt(seed, streamResponse, int64(cs.base+i)<<subStreamBits|int64(m.sub))
+			rng.SeedAt(seed, streamResponse, int64(i)<<subStreamBits|int64(m.sub))
 			m.sampleInto(d, rng, i, abil[i])
 		}
 	}
@@ -729,7 +689,7 @@ func (cs *colSampler) sampleBlock(rng *parallel.XRand, seed int64, lo, hi int, p
 		cum := &cs.suspCum[k]
 		sub := cs.suspSub[k]
 		for i := lo; i < hi; i++ {
-			rng.SeedAt(seed, streamResponse, int64(cs.base+i)<<subStreamBits|int64(sub))
+			rng.SeedAt(seed, streamResponse, int64(i)<<subStreamBits|int64(sub))
 			d.SetLikert(ci, i, drawLikert(rng, cum))
 		}
 	}
@@ -746,24 +706,11 @@ func drawLikert(rng *parallel.XRand, cum *[5]float64) int {
 	return 5
 }
 
-// GenerateStudents builds the student cohort: suspicion answers only
-// (the paper's student group took just the suspicion quiz as an exam
-// problem).
+// GenerateStudents builds the student cohort as a row view: suspicion
+// answers only (the paper's student group took just the suspicion quiz
+// as an exam problem).
 func GenerateStudents(seed int64, n int) *survey.Dataset {
-	return GenerateStudentsWorkers(seed, n, 0)
-}
-
-// GenerateStudentsWorkers is GenerateStudents with an explicit worker
-// count (workers <= 0 means GOMAXPROCS).
-func GenerateStudentsWorkers(seed int64, n, workers int) *survey.Dataset {
-	return GenerateStudentsInstrumented(seed, n, workers, Instrumentation{})
-}
-
-// GenerateStudentsInstrumented is GenerateStudentsWorkers with
-// telemetry handles (see Instrumentation; the student cohort has a
-// single sample-responses stage).
-func GenerateStudentsInstrumented(seed int64, n, workers int, inst Instrumentation) *survey.Dataset {
-	return GenerateStudentsColumnar(seed, n, workers, inst).ToSurveyWorkers(workers)
+	return GenerateStudentsColumnar(seed, n, 0, Instrumentation{}).ToSurveyWorkers(0)
 }
 
 // GenerateStudentsColumnar generates the student cohort directly into
