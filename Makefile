@@ -24,7 +24,7 @@ bench:
 # make check runs this as part of the full gate.
 bench-mem:
 	$(GO) test -run 'ZeroAlloc' -v ./internal/respondent/ ./internal/quiz/
-	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkScoreColumns|BenchmarkCalibrateModels|BenchmarkSampleResponses' \
+	$(GO) test -run - -bench 'BenchmarkSampleBlock|BenchmarkGradeColumns|BenchmarkCalibrateModels|BenchmarkSampleResponses' \
 		-benchmem ./internal/respondent/ ./internal/quiz/
 
 # End-to-end pipeline timing; writes BENCH_pipeline.json.

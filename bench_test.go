@@ -149,8 +149,8 @@ func BenchmarkStudyPipeline(b *testing.B) {
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
 						r := s.Run()
-						if len(r.CoreTallies) != n {
-							b.Fatalf("pipeline produced %d tallies, want %d", len(r.CoreTallies), n)
+						if r.Outcomes.Len() != n {
+							b.Fatalf("pipeline graded %d respondents, want %d", r.Outcomes.Len(), n)
 						}
 					}
 					b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "respondents/s")
@@ -183,8 +183,8 @@ func BenchmarkStudyPipelineTelemetry(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r := s.Run()
-				if len(r.CoreTallies) != n {
-					b.Fatalf("pipeline produced %d tallies, want %d", len(r.CoreTallies), n)
+				if r.Outcomes.Len() != n {
+					b.Fatalf("pipeline graded %d respondents, want %d", r.Outcomes.Len(), n)
 				}
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "respondents/s")
@@ -215,8 +215,8 @@ func BenchmarkStudyPipelineLatency(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r := s.Run()
-				if len(r.CoreTallies) != n {
-					b.Fatalf("pipeline produced %d tallies, want %d", len(r.CoreTallies), n)
+				if r.Outcomes.Len() != n {
+					b.Fatalf("pipeline graded %d respondents, want %d", r.Outcomes.Len(), n)
 				}
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "respondents/s")
@@ -257,8 +257,8 @@ func BenchmarkStudyPipelineTrace(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				r := s.Run()
-				if len(r.CoreTallies) != n {
-					b.Fatalf("pipeline produced %d tallies, want %d", len(r.CoreTallies), n)
+				if r.Outcomes.Len() != n {
+					b.Fatalf("pipeline graded %d respondents, want %d", r.Outcomes.Len(), n)
 				}
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "respondents/s")

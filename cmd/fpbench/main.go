@@ -435,8 +435,8 @@ func benchMain() {
 				res := study.Run()
 				sec := time.Since(start).Seconds()
 				runtime.ReadMemStats(&after)
-				if len(res.CoreTallies) != n {
-					fmt.Fprintf(os.Stderr, "fpbench: run produced %d tallies, want %d\n", len(res.CoreTallies), n)
+				if res.Outcomes.Len() != n {
+					fmt.Fprintf(os.Stderr, "fpbench: run graded %d respondents, want %d\n", res.Outcomes.Len(), n)
 					exit(1)
 				}
 				if best == 0 || sec < best {

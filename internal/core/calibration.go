@@ -52,9 +52,10 @@ func (r *Results) CalibrationReport() report.Table {
 			n, 15-fails, 15))
 
 	// Bootstrap CI on the headline mean.
-	scores := make([]float64, len(r.CoreTallies))
-	for i, tl := range r.CoreTallies {
-		scores[i] = float64(tl.Correct)
+	scores, err := r.coreScores()
+	if err != nil {
+		t.Notes = append(t.Notes, err.Error())
+		return t
 	}
 	lo, hi := stats.BootstrapMeanCI(scores, 0.95, 2000, r.Study.Seed)
 	t.Notes = append(t.Notes,
@@ -74,9 +75,10 @@ func (r *Results) FactorAssociation() report.Table {
 		Title:  "Factor association with core score (Cramér's V on above/below-median split)",
 		Header: []string{"Factor", "levels", "V", "strength"},
 	}
-	scores := make([]float64, len(r.CoreTallies))
-	for i, tl := range r.CoreTallies {
-		scores[i] = float64(tl.Correct)
+	scores, err := r.coreScores()
+	if err != nil {
+		t.Notes = append(t.Notes, err.Error())
+		return t
 	}
 	median := stats.Median(scores)
 

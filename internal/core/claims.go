@@ -30,8 +30,15 @@ func (r *Results) HeadlineClaims() []Claim {
 		claims = append(claims, Claim{Name: name, Pass: pass, Detail: fmt.Sprintf(detail, args...)})
 	}
 
-	core := r.meanTallies("core")
-	opt := r.meanTallies("opt")
+	core, err := r.meanTallies(quiz.QuizCore)
+	var opt meanTallyResult
+	if err == nil {
+		opt, err = r.meanTallies(quiz.QuizOpt)
+	}
+	if err != nil {
+		add("engine-error", false, "%v", err)
+		return claims
+	}
 
 	// "The score for the core quiz was 8.5/15, which is only slightly
 	// better than would be expected by chance (7.5/15)."
@@ -83,8 +90,15 @@ func (r *Results) HeadlineClaims() []Claim {
 
 	// Factor: codebase size is the most predictive factor, topping out
 	// around 11/15 for the largest codebases.
-	big, small := r.meanCoreByLevel(quiz.BGContribSize, ">1,000,000 lines of code"),
-		r.meanCoreByLevel(quiz.BGContribSize, "100 to 1,000 lines of code")
+	big, err := r.meanCoreByLevel(quiz.BGContribSize, ">1,000,000 lines of code")
+	var small float64
+	if err == nil {
+		small, err = r.meanCoreByLevel(quiz.BGContribSize, "100 to 1,000 lines of code")
+	}
+	if err != nil {
+		add("engine-error", false, "%v", err)
+		return claims
+	}
 	add("codebase-size-effect", big > small+1,
 		"mean core score: >1M LoC %.2f vs 100-1k LoC %.2f (paper: ~11 vs ~7.5)", big, small)
 
@@ -96,7 +110,7 @@ func (r *Results) HeadlineClaims() []Claim {
 		Filter: []query.Predicate{query.I32SetOf(areaCi,
 			areaCol.MustOptionCode("Other Physical Science Field"),
 			areaCol.MustOptionCode("Other Engineering Field"))},
-		Values: []query.Value{mustQueryValue(s, "core.score")},
+		Values: []query.Value{r.graded(quiz.QuizCore, quiz.OutcomeCorrect)},
 	}, r.workers)
 	if err != nil {
 		add("engine-error", false, "%v", err)
@@ -149,17 +163,17 @@ func (r *Results) HeadlineClaims() []Claim {
 
 // meanCoreByLevel averages core scores over respondents with the given
 // background answer: a filtered ungrouped mean through the engine.
-func (r *Results) meanCoreByLevel(questionID, level string) float64 {
+func (r *Results) meanCoreByLevel(questionID, level string) (float64, error) {
 	s := r.Main.Cols.Schema
 	ci := s.MustColumnIndex(questionID)
 	res, err := query.Run(r.MainSource(), query.Query{
 		Filter: []query.Predicate{query.I32SetOf(ci, s.Column(ci).MustOptionCode(level))},
-		Values: []query.Value{mustQueryValue(s, "core.score")},
+		Values: []query.Value{r.graded(quiz.QuizCore, quiz.OutcomeCorrect)},
 	}, r.workers)
 	if err != nil {
-		return 0
+		return 0, err
 	}
-	return res.Mean(0, 0)
+	return res.Mean(0, 0), nil
 }
 
 // AllClaimsPass reports whether every headline claim held.

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"fpstudy/internal/quiz"
 	"fpstudy/internal/report"
 	"fpstudy/internal/stats"
 )
@@ -24,7 +25,8 @@ func (r *Results) ConfidenceReport() report.Table {
 		accuracy  float64 // correct / committed
 	}
 	var rows []row
-	for _, tl := range r.CoreTallies {
+	for i := 0; i < r.Outcomes.Len(); i++ {
+		tl := r.Outcomes.Tally(quiz.QuizCore, i)
 		committed := tl.Correct + tl.Incorrect
 		if committed == 0 {
 			continue
@@ -75,7 +77,8 @@ func (r *Results) ConfidenceReport() report.Table {
 // commits more than its accuracy warrants.
 func (r *Results) OverconfidenceIndex() float64 {
 	var com, acc []float64
-	for _, tl := range r.CoreTallies {
+	for i := 0; i < r.Outcomes.Len(); i++ {
+		tl := r.Outcomes.Tally(quiz.QuizCore, i)
 		committed := tl.Correct + tl.Incorrect
 		if committed == 0 {
 			continue
@@ -91,7 +94,8 @@ func (r *Results) OverconfidenceIndex() float64 {
 // scored questions punted with "don't know."
 func (r *Results) OptHumilityIndex() float64 {
 	var dk []float64
-	for _, tl := range r.OptTallies {
+	for i := 0; i < r.Outcomes.Len(); i++ {
+		tl := r.Outcomes.Tally(quiz.QuizOpt, i)
 		total := tl.Total()
 		if total == 0 {
 			continue

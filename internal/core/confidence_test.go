@@ -3,6 +3,8 @@ package core
 import (
 	"strings"
 	"testing"
+
+	"fpstudy/internal/quiz"
 )
 
 func TestConfidenceReport(t *testing.T) {
@@ -38,10 +40,11 @@ func TestOptHumilityIndex(t *testing.T) {
 	// And humility on optimizations exceeds core-quiz hedging by a
 	// wide margin — the paper's contrast between the two quizzes.
 	var coreDK float64
-	for _, tl := range bigResults.CoreTallies {
-		coreDK += float64(tl.DontKnow) / 15
+	dk := bigResults.Outcomes.Column(quiz.QuizCore, quiz.OutcomeDontKnow)
+	for _, c := range dk {
+		coreDK += float64(c) / 15
 	}
-	coreDK /= float64(len(bigResults.CoreTallies))
+	coreDK /= float64(len(dk))
 	if idx < coreDK*2 {
 		t.Fatalf("opt humility %.2f should dwarf core DK rate %.2f", idx, coreDK)
 	}

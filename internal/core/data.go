@@ -9,13 +9,13 @@ import (
 )
 
 // ResultsFromColumns builds a Results over an already-loaded main
-// cohort instead of generating one: it grades the columns and leaves
-// figure tallies to read them directly, exactly like a ColumnarOnly
-// Run. The dataset must use the quiz schema (load it with
-// colstore.LoadFile(quiz.Columns(), ...)) so the cached grading tables
-// apply. When students is nil the student cohort is regenerated from
-// s.Seed+1 / s.NStudent — the same seed split Run uses — so a run at
-// the generating seed reproduces Run bit-for-bit.
+// cohort instead of generating one: it grades the columns once into
+// Outcomes, exactly like a ColumnarOnly Run. The dataset must use the
+// quiz schema (load it with colstore.LoadFile(quiz.Columns(), ...)) so
+// the cached grading tables apply. When students is nil the student
+// cohort is regenerated from s.Seed+1 / s.NStudent — the same seed
+// split Run uses — so a run at the generating seed reproduces Run
+// bit-for-bit.
 func (s Study) ResultsFromColumns(main, students *colstore.Dataset) (*Results, error) {
 	if main.Schema != quiz.Columns() {
 		return nil, fmt.Errorf("core: dataset schema is not the quiz instrument")
@@ -43,11 +43,10 @@ func (s Study) ResultsFromColumns(main, students *colstore.Dataset) (*Results, e
 		r.Study.NStudent = s.NStudent
 	}
 	r.StudentCols = students
-	gsp := root.StartChild("grade")
-	g := quiz.ScoreAllColumns(main, s.Workers)
-	gsp.AddItems(int64(main.Len()))
-	gsp.End()
-	r.CoreTallies, r.OptTallies, r.OptAllTallies = g.Core, g.OptScored, g.OptAll
+	if err := r.grade(root); err != nil {
+		root.End()
+		return nil, err
+	}
 	root.AddItems(int64(main.Len() + students.Len()))
 	root.End()
 	s.Telemetry.Registry().Counter(MetricRuns).Inc()

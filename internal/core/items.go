@@ -90,8 +90,17 @@ type TrainingIntervention struct {
 
 // RunTrainingIntervention simulates the intervention at the study's
 // seed and size.
-func (r *Results) RunTrainingIntervention(level string) TrainingIntervention {
-	base := r.meanTallies("core").Correct
+func (r *Results) RunTrainingIntervention(level string) (TrainingIntervention, error) {
+	base, err := r.meanTallies(quiz.QuizCore)
+	if err != nil {
+		return TrainingIntervention{}, err
+	}
+	return r.intervention(level, base.Correct), nil
+}
+
+// intervention simulates forcing the training level against the
+// observed mean core score base.
+func (r *Results) intervention(level string, base float64) TrainingIntervention {
 	treated := Study{
 		Seed:     r.Study.Seed,
 		NMain:    r.Study.NMain,
@@ -124,14 +133,19 @@ func (r *Results) InterventionReport() report.Table {
 		Title:  "Policy experiment: force everyone's formal floating point training to a level",
 		Header: []string{"Forced level", "mean core score", "gain vs observed", "verdict"},
 	}
-	base := r.meanTallies("core").Correct
+	observed, err := r.meanTallies(quiz.QuizCore)
+	if err != nil {
+		t.Notes = append(t.Notes, err.Error())
+		return t
+	}
+	base := observed.Correct
 	for _, level := range []string{
 		"None",
 		"One or more lectures in course",
 		"One or more weeks within a course",
 		"One or more courses",
 	} {
-		iv := r.RunTrainingIntervention(level)
+		iv := r.intervention(level, base)
 		verdict := "small effect"
 		if iv.Gain > 1.5 {
 			verdict = "large effect"

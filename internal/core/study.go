@@ -66,12 +66,12 @@ type Results struct {
 	StudentCols *colstore.Dataset
 	Students    *survey.Dataset
 
-	// CoreTallies and OptTallies are per-respondent grades (OptTallies
-	// covers only the three T/F questions, the paper's Figure 12
-	// view; OptAllTallies covers all four).
-	CoreTallies   []quiz.Tally
-	OptTallies    []quiz.Tally
-	OptAllTallies []quiz.Tally
+	// Outcomes is the main cohort graded once: per-respondent outcome
+	// counts on the core quiz, the three T/F optimization questions
+	// (the paper's Figure 12 view) and all four optimization questions.
+	// Figures, claims and analyses read these columns instead of
+	// re-grading the answers.
+	Outcomes *quiz.OutcomeCounts
 
 	instrument *survey.Instrument
 	workers    int
@@ -100,14 +100,24 @@ func (r *Results) StudentSource() query.Source {
 	return r.studentSrc
 }
 
-// mustQueryValue resolves a quiz measure name known valid at build
-// time (programmer error otherwise).
-func mustQueryValue(s *colstore.Schema, name string) query.Value {
-	v, err := quiz.QueryValue(s, name)
+// graded returns the query value reading one graded outcome column of
+// the main cohort. It binds no answer columns.
+func (r *Results) graded(view quiz.QuizView, o quiz.PerQuestionOutcome) query.Value {
+	return query.SliceValue[uint8]{Vals: r.Outcomes.Column(view, o)}
+}
+
+// grade grades the main cohort once into r.Outcomes under a "grade"
+// child span of root.
+func (r *Results) grade(root *telemetry.Span) error {
+	sp := root.StartChild("grade")
+	defer sp.End()
+	g, err := quiz.Grade(r.MainSource(), r.workers)
 	if err != nil {
-		panic(err)
+		return err
 	}
-	return v
+	r.Outcomes = g
+	sp.AddItems(int64(g.Len()))
+	return nil
 }
 
 // Run executes the study: generation, then oracle-keyed grading, both
@@ -144,11 +154,10 @@ func (s Study) Run() *Results {
 		sp.End()
 	})
 	pool.Wait()
-	gsp := root.StartChild("grade")
-	g := quiz.ScoreAllColumns(r.Main.Cols, s.Workers)
-	gsp.AddItems(int64(r.Main.Cols.Len()))
-	gsp.End()
-	r.CoreTallies, r.OptTallies, r.OptAllTallies = g.Core, g.OptScored, g.OptAll
+	if err := r.grade(root); err != nil {
+		// The cohort is in memory: its block reader cannot fail.
+		panic(fmt.Sprintf("core: grading the generated cohort: %v", err))
+	}
 	root.AddItems(int64(s.NMain + s.NStudent))
 	root.End()
 	s.Telemetry.Registry().Counter(MetricRuns).Inc()
@@ -250,8 +259,15 @@ func (r *Results) Figure12() report.Table {
 		Header: []string{"Quiz", "# Correct", "# Incorrect", "# Don't Know", "# No Answer", "# Chance",
 			"paper Correct", "paper Chance"},
 	}
-	core := r.meanTallies("core")
-	opt := r.meanTallies("opt")
+	core, err := r.meanTallies(quiz.QuizCore)
+	var opt meanTallyResult
+	if err == nil {
+		opt, err = r.meanTallies(quiz.QuizOpt)
+	}
+	if err != nil {
+		t.Notes = append(t.Notes, err.Error())
+		return t
+	}
 	t.AddRow("Core",
 		report.F(core.Correct), report.F(core.Incorrect), report.F(core.DontKnow), report.F(core.Unanswered),
 		report.F(quiz.CoreChance),
@@ -269,55 +285,62 @@ type meanTallyResult struct {
 	Correct, Incorrect, DontKnow, Unanswered float64
 }
 
-// meanTallies computes a quiz's mean per-outcome counts through one
-// engine pass: four grading values, no grouping. The per-respondent
-// outcome counts are small integers, so the blockwise sums are exact
-// and the means are bit-identical to the sequential row loop over the
-// graded tallies this replaced.
-func (r *Results) meanTallies(quizName string) meanTallyResult {
-	s := r.Main.Cols.Schema
+// meanTallies computes a quiz view's mean per-outcome counts through
+// one engine pass over the four graded columns, no grouping. The
+// per-respondent outcome counts are small integers, so the blockwise
+// sums are exact and the means are bit-identical to a sequential row
+// loop over the tallies.
+func (r *Results) meanTallies(view quiz.QuizView) (meanTallyResult, error) {
 	res, err := query.Run(r.MainSource(), query.Query{Values: []query.Value{
-		mustQueryValue(s, quizName+".score"),
-		mustQueryValue(s, quizName+".incorrect"),
-		mustQueryValue(s, quizName+".dontknow"),
-		mustQueryValue(s, quizName+".unanswered"),
+		r.graded(view, quiz.OutcomeCorrect),
+		r.graded(view, quiz.OutcomeIncorrect),
+		r.graded(view, quiz.OutcomeDontKnow),
+		r.graded(view, quiz.OutcomeUnanswered),
 	}}, r.workers)
 	if err != nil {
-		return meanTallyResult{}
+		return meanTallyResult{}, err
 	}
 	return meanTallyResult{
 		Correct:    res.Mean(0, 0),
 		Incorrect:  res.Mean(1, 0),
 		DontKnow:   res.Mean(2, 0),
 		Unanswered: res.Mean(3, 0),
-	}
+	}, nil
 }
 
 // coreScores returns every respondent's core quiz score in respondent
 // order, via an ungrouped engine collection.
-func (r *Results) coreScores() []float64 {
+func (r *Results) coreScores() ([]float64, error) {
 	res, err := query.RunCollect(r.MainSource(), query.Query{
-		Values: []query.Value{mustQueryValue(r.Main.Cols.Schema, "core.score")},
+		Values: []query.Value{r.graded(quiz.QuizCore, quiz.OutcomeCorrect)},
 	}, r.workers)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return res.Groups[0]
+	return res.Groups[0], nil
 }
 
 // CoreScoreHistogram returns the distribution of core-quiz scores.
-func (r *Results) CoreScoreHistogram() stats.Histogram {
-	return stats.NewHistogram(r.coreScores(), 15)
+func (r *Results) CoreScoreHistogram() (stats.Histogram, error) {
+	scores, err := r.coreScores()
+	if err != nil {
+		return stats.Histogram{}, err
+	}
+	return stats.NewHistogram(scores, 15), nil
 }
 
 // Figure13 renders the histogram of core quiz scores.
 func (r *Results) Figure13() report.Table {
-	scores := r.coreScores()
-	h := stats.NewHistogram(scores, 15)
 	t := report.Table{
 		Title:  "Figure 13: Histogram of core quiz scores (15 questions; chance mean 7.5)",
 		Header: []string{"Score", "Count", ""},
 	}
+	scores, err := r.coreScores()
+	if err != nil {
+		t.Notes = append(t.Notes, err.Error())
+		return t
+	}
+	h := stats.NewHistogram(scores, 15)
 	maxC := 0
 	for _, c := range h.Counts {
 		if c > maxC {
@@ -431,16 +454,16 @@ func (r *Results) factorFigure(num int, title, questionID string, core bool,
 	// buckets merge in block order, preserving respondent order within
 	// each level, so downstream means/sds are bit-identical at any
 	// worker count.
-	d := r.Main.Cols
-	ci := d.Schema.MustColumnIndex(questionID)
-	col := d.Schema.Column(ci)
-	valName := "core.score"
+	s := r.Main.Cols.Schema
+	ci := s.MustColumnIndex(questionID)
+	col := s.Column(ci)
+	view := quiz.QuizCore
 	if !core {
-		valName = "opt.score"
+		view = quiz.QuizOpt
 	}
 	res, err := query.RunCollect(r.MainSource(), query.Query{
 		Key:    query.SingleKey{Col: ci, Options: col.Options},
-		Values: []query.Value{mustQueryValue(d.Schema, valName)},
+		Values: []query.Value{r.graded(view, quiz.OutcomeCorrect)},
 	}, r.workers)
 	if err != nil {
 		t.Notes = append(t.Notes, err.Error())

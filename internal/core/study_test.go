@@ -22,8 +22,8 @@ func TestDefaultStudySizes(t *testing.T) {
 	if len(paperResults.Students.Responses) != paperdata.NStudent {
 		t.Fatalf("students n = %d", len(paperResults.Students.Responses))
 	}
-	if len(paperResults.CoreTallies) != paperdata.NMain {
-		t.Fatalf("tallies n = %d", len(paperResults.CoreTallies))
+	if paperResults.Outcomes.Len() != paperdata.NMain {
+		t.Fatalf("graded n = %d", paperResults.Outcomes.Len())
 	}
 }
 
@@ -64,7 +64,10 @@ func TestFigure12Shape(t *testing.T) {
 }
 
 func TestFigure13HistogramShape(t *testing.T) {
-	h := bigResults.CoreScoreHistogram()
+	h, err := bigResults.CoreScoreHistogram()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if h.Total != 4000 {
 		t.Fatalf("total %d", h.Total)
 	}

@@ -67,7 +67,7 @@ const (
 	// "Latency observatory").
 	LatencySampleBlock   = "latency.sample_block"         // one 4096-respondent response-sampling block
 	LatencyCalibrate     = "latency.calibrate"            // one question-model bisection
-	LatencyGradeBatch    = "latency.grade_batch"          // one ScoreAllColumns batch
+	LatencyGradeBatch    = "latency.grade_batch"          // one 8192-respondent quiz.Grade block
 	LatencyFPDSEncode    = "latency.fpds_encode_block"    // one FPDS column block encode
 	LatencyFPDSDecode    = "latency.fpds_decode_block"    // one FPDS column block decode
 	LatencyParallelShard = "latency.parallel_shard"       // one MapShards/SumShards shard

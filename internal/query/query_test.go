@@ -119,7 +119,7 @@ func selectedRows(t *testing.T, src query.Source, filter []query.Predicate, work
 	}
 	res, err := query.RunCollect(src, query.Query{
 		Filter: filter,
-		Values: []query.Value{query.SliceValue{Vals: idx}},
+		Values: []query.Value{query.SliceValue[float64]{Vals: idx}},
 	}, workers)
 	if err != nil {
 		t.Fatalf("RunCollect: %v", err)
@@ -238,9 +238,8 @@ func TestGroupedAggregatesVsReference(t *testing.T) {
 				wantN[0][k]++
 				wantSum[0][k] += float64(lv)
 			}
-			core, _, _ := quiz.ScoreColumnsAt(d, i)
 			wantN[1][k]++
-			wantSum[1][k] += float64(core.Correct)
+			wantSum[1][k] += float64(quiz.ScoreCore(d.Response(i)).Correct)
 		}
 
 		for _, w := range workerCounts {

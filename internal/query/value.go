@@ -1,19 +1,18 @@
 package query
 
 // SliceValue reads per-respondent values from a caller-provided dense
-// slice indexed by global respondent (in-memory sources only — it
-// bypasses the block reader). Used for precomputed per-respondent
-// measures that are not a single column, e.g. quiz scores.
-type SliceValue struct {
-	Vals []float64
+// slice indexed by global respondent, binding no schema columns. Use it
+// for measures precomputed over the whole cohort, such as the graded
+// quiz outcome counts; the slice must cover the source's respondents.
+type SliceValue[T uint8 | float64] struct {
+	Vals []T
 }
 
-func (v SliceValue) Columns() []int { return nil }
+func (v SliceValue[T]) Columns() []int { return nil }
 
-func (v SliceValue) Gather(b *Block, dst []float64, ok []bool) {
-	copy(dst, v.Vals[b.Lo:b.Lo+b.N])
-	for j := range ok {
-		ok[j] = true
+func (v SliceValue[T]) Gather(b *Block, dst []float64, ok []bool) {
+	for j, x := range v.Vals[b.Lo : b.Lo+b.N] {
+		dst[j], ok[j] = float64(x), true
 	}
 }
 

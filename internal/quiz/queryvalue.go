@@ -9,45 +9,44 @@ import (
 )
 
 // scoreValue is a query.Value counting one grading outcome per
-// respondent across a quiz's questions. It runs column-major over the
-// block — one pass per question over dense codes — so grading an
-// n=10M streamed cohort needs no per-respondent Tally materialization.
+// respondent across a quiz view's questions, graded per block by the
+// same kernel as Grade. It reads the answer columns, so it serves
+// streamed sources that have no graded columns: grading an n=10M
+// on-disk cohort needs no per-respondent materialization.
 type scoreValue struct {
-	items   []colItem
-	table   *ScoreTable // non-nil when the Level question is included
+	t       *ScoreTable
+	view    QuizView
 	outcome PerQuestionOutcome
 }
 
+func (v scoreValue) items() []colItem {
+	if v.view == QuizCore {
+		return v.t.core
+	}
+	return v.t.optTF
+}
+
 func (v scoreValue) Columns() []int {
-	cols := make([]int, 0, len(v.items)+1)
-	for _, it := range v.items {
+	var cols []int
+	for _, it := range v.items() {
 		cols = append(cols, it.ci)
 	}
-	if v.table != nil {
-		cols = append(cols, v.table.levelCol)
+	if v.view == QuizOptAll {
+		cols = append(cols, v.t.levelCol)
 	}
 	return cols
 }
 
 func (v scoreValue) Gather(b *query.Block, dst []float64, ok []bool) {
-	for j := range dst {
-		dst[j], ok[j] = 0, true
+	var buf [query.BlockRows]uint32
+	acc := buf[:b.N]
+	accumulateTF(b, v.items(), acc)
+	if v.view == QuizOptAll {
+		v.t.accumulateLevel(b, acc)
 	}
-	for _, it := range v.items {
-		col := b.U8(it.ci)
-		for j := range dst {
-			if classifyTFCode(col[j], it.correct) == v.outcome {
-				dst[j]++
-			}
-		}
-	}
-	if v.table != nil {
-		col := b.I32(v.table.levelCol)
-		for j := range dst {
-			if v.table.classifyLevelCode(col[j]) == v.outcome {
-				dst[j]++
-			}
-		}
+	shift := 8 * uint(v.outcome)
+	for j, a := range acc {
+		dst[j], ok[j] = float64(uint8(a>>shift)), true
 	}
 }
 
@@ -57,22 +56,23 @@ func (v scoreValue) Gather(b *query.Block, dst []float64, ok []bool) {
 // (all four), and field one of score (a synonym: correct), incorrect,
 // dontknow, unanswered. The value of a respondent is their count of
 // that outcome — e.g. core.score is the core quiz score graded against
-// the oracle answer key.
+// the oracle answer key. The value grades the answer columns it binds;
+// over a cohort already graded by Grade, a query.SliceValue over the
+// matching OutcomeCounts column reads the same numbers without
+// re-grading.
 func QueryValue(s *colstore.Schema, name string) (query.Value, error) {
 	quizName, field, ok := strings.Cut(name, ".")
 	if !ok {
 		return nil, fmt.Errorf("quiz: unknown value %q (want <quiz>.<field>, e.g. core.score)", name)
 	}
-	t := ScoreTableFor(s)
-	v := scoreValue{}
+	v := scoreValue{t: ScoreTableFor(s)}
 	switch quizName {
 	case "core":
-		v.items = t.core
+		v.view = QuizCore
 	case "opt":
-		v.items = t.optTF
+		v.view = QuizOpt
 	case "optall":
-		v.items = t.optTF
-		v.table = t
+		v.view = QuizOptAll
 	default:
 		return nil, fmt.Errorf("quiz: unknown quiz %q (want core, opt, or optall)", quizName)
 	}
@@ -129,14 +129,13 @@ func (k levelOutcomeKey) Keys(b *query.Block, dst []int32) {
 }
 
 // CoreOutcomeKeyer keys respondents by their outcome on core question
-// k (paper order) — the query-engine form of ClassifyCore.
+// k (paper order).
 func CoreOutcomeKeyer(s *colstore.Schema, k int) query.Keyer {
 	return tfOutcomeKey{it: ScoreTableFor(s).core[k]}
 }
 
 // OptOutcomeKeyer keys respondents by their outcome on optimization
-// question k (paper order: MADD, FTZ, Level, Fast-math) — the
-// query-engine form of ClassifyOpt.
+// question k (paper order: MADD, FTZ, Level, Fast-math).
 func OptOutcomeKeyer(s *colstore.Schema, k int) query.Keyer {
 	t := ScoreTableFor(s)
 	switch k {

@@ -9,16 +9,16 @@ import (
 )
 
 // gradeBatchObserver holds the process-wide grade-batch latency
-// callback: it fires once per ScoreAllColumns batch with the batch's
-// respondent count and wall duration. Same contract as the oracle
-// observer — observation only, safe for concurrent use, one atomic
-// load + branch when uninstalled.
+// callback: it fires once per 8192-respondent block that Grade grades,
+// with the block's respondent count and wall duration. Same contract
+// as the oracle observer — observation only, safe for concurrent use,
+// one atomic load + branch when uninstalled.
 var gradeBatchObserver atomic.Pointer[func(n int, d time.Duration)]
 
 // SetGradeBatchObserver installs fn as the grade-batch latency
-// observer for subsequent ScoreAllColumns calls; nil uninstalls. The
-// intended fn feeds a telemetry.LatencyHist so batch grading latency
-// is quantile-tracked alongside the generation stages.
+// observer for subsequent Grade calls; nil uninstalls. The intended fn
+// feeds a telemetry.LatencyHist so per-block grading latency is
+// quantile-tracked alongside the generation stages.
 func SetGradeBatchObserver(fn func(n int, d time.Duration)) {
 	if fn == nil {
 		gradeBatchObserver.Store(nil)
