@@ -19,24 +19,18 @@ func (r *Results) CalibrationReport() report.Table {
 		Title:  "Calibration: regenerated responses vs published distributions",
 		Header: []string{"Question", "chi2", "df", "crit(5%)", "fit"},
 	}
-	n := len(r.MainDataset().Responses)
+	n := r.Main.Cols.Len()
+	totals, err := r.coreOutcomeCounts()
+	if err != nil {
+		t.Notes = append(t.Notes, err.Error())
+		return t
+	}
 	fails := 0
 	for i, q := range quiz.CoreQuestions() {
 		row := paperdata.Figure14Core[i]
-		var c, inc, dk, un int
-		for _, resp := range r.MainDataset().Responses {
-			switch quiz.ClassifyCore(resp, q) {
-			case quiz.OutcomeCorrect:
-				c++
-			case quiz.OutcomeIncorrect:
-				inc++
-			case quiz.OutcomeDontKnow:
-				dk++
-			case quiz.OutcomeUnanswered:
-				un++
-			}
-		}
-		observed := []int{c, inc, dk, un}
+		tl := totals[i]
+		observed := []int{int(tl[quiz.OutcomeCorrect]), int(tl[quiz.OutcomeIncorrect]),
+			int(tl[quiz.OutcomeDontKnow]), int(tl[quiz.OutcomeUnanswered])}
 		expected := []float64{row.Correct, row.Incorrect, row.DontKnow, row.Unanswered}
 		stat, df := stats.ChiSquareGOF(observed, expected)
 		crit := stats.ChiSquareCritical05(df)
@@ -94,11 +88,15 @@ func (r *Results) FactorAssociation() report.Table {
 		{"Position", quiz.BGPosition},
 		{"Contributed FP Extent", quiz.BGContribExtent},
 	}
+	d := r.Main.Cols
 	for _, f := range factors {
+		// Contingency rows in first-appearance order of the levels,
+		// which fixes Cramér's V's summation order.
+		ci := d.Schema.MustColumnIndex(f.id)
 		levels := map[string]int{}
 		var order []string
-		for _, resp := range r.MainDataset().Responses {
-			l := resp.Answer(f.id).Choice
+		for i := 0; i < d.Len(); i++ {
+			l := d.SingleLabel(ci, i)
 			if _, ok := levels[l]; !ok {
 				levels[l] = len(order)
 				order = append(order, l)
@@ -108,8 +106,8 @@ func (r *Results) FactorAssociation() report.Table {
 		for i := range table {
 			table[i] = make([]int, 2)
 		}
-		for i, resp := range r.MainDataset().Responses {
-			l := levels[resp.Answer(f.id).Choice]
+		for i := 0; i < d.Len(); i++ {
+			l := levels[d.SingleLabel(ci, i)]
 			col := 0
 			if scores[i] > median {
 				col = 1

@@ -6,6 +6,7 @@ import (
 	"fpstudy/internal/paperdata"
 	"fpstudy/internal/query"
 	"fpstudy/internal/quiz"
+	"fpstudy/internal/stats"
 )
 
 // Claim is one of the paper's headline findings, checked against the
@@ -61,11 +62,7 @@ func (r *Results) HeadlineClaims() []Claim {
 	// wrong-majority and chance-band claims both read off it.
 	s := r.Main.Cols.Schema
 	qs := quiz.CoreQuestions()
-	keyers := make([]query.Keyer, len(qs))
-	for qi := range qs {
-		keyers[qi] = quiz.CoreOutcomeKeyer(s, qi)
-	}
-	outcomes, err := query.CountByKeys(r.MainSource(), keyers, nil, r.workers)
+	outcomes, err := r.coreOutcomeCounts()
 	if err != nil {
 		add("engine-error", false, "%v", err)
 		return claims
@@ -121,10 +118,26 @@ func (r *Results) HeadlineClaims() []Claim {
 		"PhysSci/Eng mean %.2f vs chance 7.5 (paper: at chance)", pe)
 
 	// Suspicion: Invalid most suspicious, then Overflow, then the rest;
-	// ~1/3 under-rate Invalid.
-	inv := suspicionDistQuery(r.MainSource(), "susp.invalid", r.workers)
-	ovf := suspicionDistQuery(r.MainSource(), "susp.overflow", r.workers)
-	und := suspicionDistQuery(r.MainSource(), "susp.underflow", r.workers)
+	// ~1/3 under-rate Invalid. Students are less suspicious of
+	// Underflow and Denorm.
+	var inv, ovf, und, mDen, sUnd, sDen stats.LikertDist
+	for _, q := range []struct {
+		dist *stats.LikertDist
+		src  query.Source
+		id   string
+	}{
+		{&inv, r.MainSource(), "susp.invalid"},
+		{&ovf, r.MainSource(), "susp.overflow"},
+		{&und, r.MainSource(), "susp.underflow"},
+		{&mDen, r.MainSource(), "susp.denorm"},
+		{&sUnd, r.StudentSource(), "susp.underflow"},
+		{&sDen, r.StudentSource(), "susp.denorm"},
+	} {
+		if *q.dist, err = suspicionDistQuery(q.src, q.id, r.workers); err != nil {
+			add("engine-error", false, "%v", err)
+			return claims
+		}
+	}
 	add("suspicion-ordering",
 		inv.MeanLevel() > ovf.MeanLevel() && ovf.MeanLevel() > und.MeanLevel(),
 		"mean suspicion invalid %.2f > overflow %.2f > underflow %.2f",
@@ -133,10 +146,6 @@ func (r *Results) HeadlineClaims() []Claim {
 	add("invalid-underrated-by-third", underRate > 20 && underRate < 50,
 		"%.1f%% rate Invalid below maximum suspicion (paper: ~1/3)", underRate)
 
-	// Students are less suspicious of Underflow and Denorm.
-	sUnd := suspicionDistQuery(r.StudentSource(), "susp.underflow", r.workers)
-	sDen := suspicionDistQuery(r.StudentSource(), "susp.denorm", r.workers)
-	mDen := suspicionDistQuery(r.MainSource(), "susp.denorm", r.workers)
 	add("students-relaxed-underflow-denorm",
 		sUnd.MeanLevel() < und.MeanLevel() && sDen.MeanLevel() < mDen.MeanLevel(),
 		"students underflow %.2f < main %.2f; denorm %.2f < %.2f",

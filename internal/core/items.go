@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 
+	"fpstudy/internal/colstore"
+	"fpstudy/internal/query"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/report"
 	"fpstudy/internal/respondent"
@@ -22,40 +24,37 @@ func (r *Results) ItemAnalysis() report.Table {
 		Header: []string{"Question", "difficulty (pCorrect)", "discrimination (r_pb)", "DK rate", "grade"},
 	}
 	qs := quiz.CoreQuestions()
-	n := len(r.MainDataset().Responses)
-
-	// Per-respondent per-item correctness and total scores.
-	correct := make([][]int, len(qs))
-	for i := range correct {
-		correct[i] = make([]int, n)
+	n := r.Main.Cols.Len()
+	src := r.MainSource()
+	// Per-respondent outcome on every item, one engine scan.
+	outcomes, err := query.RowKeys(src, coreOutcomeKeyers(src.Schema()), r.workers)
+	if err != nil {
+		t.Notes = append(t.Notes, err.Error())
+		return t
 	}
-	totals := make([]float64, n)
-	dkCount := make([]int, len(qs))
-	for j, resp := range r.MainDataset().Responses {
-		for i, q := range qs {
-			switch quiz.ClassifyCore(resp, q) {
-			case quiz.OutcomeCorrect:
-				correct[i][j] = 1
-				totals[j]++
-			case quiz.OutcomeDontKnow:
-				dkCount[i]++
-			}
-		}
-	}
+	// The total score is the graded core-correct count.
+	totals := r.Outcomes.Column(quiz.QuizCore, quiz.OutcomeCorrect)
 
+	correct := make([]int, n)
+	rest := make([]float64, n)
 	for i, q := range qs {
 		diff := 0.0
-		for _, c := range correct[i] {
-			diff += float64(c)
+		dk := 0
+		for j, o := range outcomes[i] {
+			correct[j] = 0
+			switch quiz.PerQuestionOutcome(o) {
+			case quiz.OutcomeCorrect:
+				correct[j] = 1
+				diff++
+			case quiz.OutcomeDontKnow:
+				dk++
+			}
+			// Rest score: total minus this item, to avoid part-whole
+			// inflation.
+			rest[j] = float64(totals[j]) - float64(correct[j])
 		}
 		diff /= float64(n)
-		// Rest score: total minus this item, to avoid part-whole
-		// inflation.
-		rest := make([]float64, n)
-		for j := range rest {
-			rest[j] = totals[j] - float64(correct[i][j])
-		}
-		disc := stats.PointBiserial(correct[i], rest)
+		disc := stats.PointBiserial(correct, rest)
 		grade := "ok"
 		switch {
 		case disc < 0.05:
@@ -66,7 +65,7 @@ func (r *Results) ItemAnalysis() report.Table {
 			grade = "very easy"
 		}
 		t.AddRow(q.Label, report.F2(diff), report.F2(disc),
-			report.Pct(100*float64(dkCount[i])/float64(n)), grade)
+			report.Pct(100*float64(dk)/float64(n)), grade)
 	}
 	t.Notes = append(t.Notes,
 		"difficulty ~0.5 with positive discrimination = informative item; the paper's chance-level questions cluster there")
@@ -88,6 +87,15 @@ type TrainingIntervention struct {
 	Gain        float64
 }
 
+// trainingLevels are the formal-training levels InterventionReport
+// forces, in table order.
+var trainingLevels = []string{
+	"None",
+	"One or more lectures in course",
+	"One or more weeks within a course",
+	"One or more courses",
+}
+
 // RunTrainingIntervention simulates the intervention at the study's
 // seed and size.
 func (r *Results) RunTrainingIntervention(level string) (TrainingIntervention, error) {
@@ -95,36 +103,60 @@ func (r *Results) RunTrainingIntervention(level string) (TrainingIntervention, e
 	if err != nil {
 		return TrainingIntervention{}, err
 	}
-	return r.intervention(level, base.Correct), nil
+	ivs, err := r.interventions(base.Correct, []string{level})
+	if err != nil {
+		return TrainingIntervention{}, err
+	}
+	return ivs[0], nil
 }
 
-// intervention simulates forcing the training level against the
-// observed mean core score base.
-func (r *Results) intervention(level string, base float64) TrainingIntervention {
-	treated := Study{
-		Seed:     r.Study.Seed,
-		NMain:    r.Study.NMain,
-		NStudent: 0,
-	}.runWithTraining(level)
-	return TrainingIntervention{
-		Level:       level,
-		BaseMean:    base,
-		TreatedMean: treated,
-		Gain:        treated - base,
+// interventions simulates forcing each training level against the
+// observed mean core score base. One calibration on the untreated cohort
+// serves every level; each treated cohort is graded and dropped before
+// the next is sampled.
+func (r *Results) interventions(base float64, levels []string) ([]TrainingIntervention, error) {
+	overrides := make([]func(*respondent.Profile), len(levels))
+	for k, level := range levels {
+		overrides[k] = func(p *respondent.Profile) { p.FormalTraining = level }
 	}
+	ivs := make([]TrainingIntervention, len(levels))
+	err := respondent.GenerateTreatedColumnar(r.Study.Seed, r.Study.NMain, r.workers, overrides,
+		func(k int, d *colstore.Dataset) error {
+			treated, err := r.meanCoreCorrect(d)
+			if err != nil {
+				return err
+			}
+			ivs[k] = TrainingIntervention{
+				Level:       levels[k],
+				BaseMean:    base,
+				TreatedMean: treated,
+				Gain:        treated - base,
+			}
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	return ivs, nil
 }
 
-// runWithTraining generates a cohort whose formal-training factor is
-// forced to the given level and returns the mean core score.
-func (s Study) runWithTraining(level string) float64 {
-	pop := respondent.GenerateMainWith(s.Seed, s.NMain, func(p *respondent.Profile) {
-		p.FormalTraining = level
-	})
-	var sum float64
-	for _, resp := range pop.Dataset.Responses {
-		sum += float64(quiz.ScoreCore(resp).Correct)
+// meanCoreCorrect grades a treated cohort and returns its mean core
+// score. The integer sum is exact, so the mean matches a float64 row
+// loop bit for bit.
+func (r *Results) meanCoreCorrect(d *colstore.Dataset) (float64, error) {
+	var src query.Source = query.NewDatasetSource(d)
+	if r.treatedSource != nil {
+		src = r.treatedSource(d)
 	}
-	return sum / float64(len(pop.Dataset.Responses))
+	g, err := quiz.Grade(src, r.workers)
+	if err != nil {
+		return 0, err
+	}
+	sum := 0
+	for _, c := range g.Column(quiz.QuizCore, quiz.OutcomeCorrect) {
+		sum += int(c)
+	}
+	return float64(sum) / float64(d.Len()), nil
 }
 
 // InterventionReport renders the what-if table across training levels.
@@ -139,13 +171,12 @@ func (r *Results) InterventionReport() report.Table {
 		return t
 	}
 	base := observed.Correct
-	for _, level := range []string{
-		"None",
-		"One or more lectures in course",
-		"One or more weeks within a course",
-		"One or more courses",
-	} {
-		iv := r.intervention(level, base)
+	ivs, err := r.interventions(base, trainingLevels)
+	if err != nil {
+		t.Notes = append(t.Notes, err.Error())
+		return t
+	}
+	for _, iv := range ivs {
 		verdict := "small effect"
 		if iv.Gain > 1.5 {
 			verdict = "large effect"
@@ -153,7 +184,7 @@ func (r *Results) InterventionReport() report.Table {
 		if iv.Gain < -1.5 {
 			verdict = "large harm"
 		}
-		t.AddRow(level, report.F2(iv.TreatedMean),
+		t.AddRow(iv.Level, report.F2(iv.TreatedMean),
 			fmt.Sprintf("%+.2f", iv.TreatedMean-base), verdict)
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("observed mean: %.2f; the paper: training as currently delivered buys ~1 question at best", base))

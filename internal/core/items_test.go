@@ -2,7 +2,12 @@ package core
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"fpstudy/internal/quiz"
+	"fpstudy/internal/respondent"
 )
 
 func TestItemAnalysis(t *testing.T) {
@@ -78,5 +83,21 @@ func TestInterventionReport(t *testing.T) {
 	}
 	if strings.Contains(s, "large effect") {
 		t.Fatalf("training should not have a large effect under the fitted model:\n%s", s)
+	}
+}
+
+// TestInterventionCalibratesOnce pins the mechanism behind the
+// intervention's cost: one InterventionReport calibrates the question
+// models once (one bisection per question), not once per forced level.
+func TestInterventionCalibratesOnce(t *testing.T) {
+	r := Study{Seed: 42, NMain: 199, NStudent: 52, ColumnarOnly: true}.Run()
+	var calls atomic.Int64
+	respondent.SetLatencyHook(&respondent.LatencyHook{
+		Calibrate: func(int, time.Duration) { calls.Add(1) },
+	})
+	defer respondent.SetLatencyHook(nil)
+	r.InterventionReport()
+	if got, want := calls.Load(), int64(len(quiz.CoreQuestions())+len(quiz.OptQuestions())); got != want {
+		t.Errorf("InterventionReport ran %d bisections, want %d (one calibration)", got, want)
 	}
 }

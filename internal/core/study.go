@@ -41,12 +41,11 @@ type Study struct {
 	Telemetry *telemetry.Recorder
 	// ColumnarOnly skips materializing the row views (one
 	// map[string]Answer per respondent) after generation. Grading,
-	// every figure, and the headline claims evaluate through the
-	// query engine over the columnar storage, so the reporting
-	// pipeline never needs the rows; analyses that still do (item
-	// statistics, calibration) materialize them lazily via
-	// MainDataset/StudentDataset. At n=1M the row view is the
-	// dominant allocation cost, so fpbench measures with this set.
+	// every figure, the headline claims and every analysis evaluate
+	// over the columnar storage, so the reporting pipeline never
+	// needs the rows; only callers that read Main.Dataset or Students
+	// do. At n=1M the row view is the dominant allocation cost, so
+	// fpbench measures with this set.
 	ColumnarOnly bool
 }
 
@@ -62,7 +61,7 @@ type Results struct {
 	// (the row view) is materialized unless the study ran ColumnarOnly.
 	Main *respondent.Population
 	// StudentCols is the student cohort's columnar storage; Students is
-	// its row view (nil in ColumnarOnly runs until StudentDataset).
+	// its row view (nil in ColumnarOnly runs).
 	StudentCols *colstore.Dataset
 	Students    *survey.Dataset
 
@@ -79,6 +78,10 @@ type Results struct {
 
 	mainSrc    query.Source
 	studentSrc query.Source
+	// treatedSource, when set, replaces query.NewDatasetSource as the
+	// engine view of the intervention's treated cohorts (a test seam
+	// for reader failures).
+	treatedSource func(*colstore.Dataset) query.Source
 }
 
 // MainSource returns the query-engine view of the main cohort's
@@ -162,22 +165,6 @@ func (s Study) Run() *Results {
 	root.End()
 	s.Telemetry.Registry().Counter(MetricRuns).Inc()
 	return r
-}
-
-// MainDataset returns the main cohort's row view, materializing it from
-// the columns on first use in a ColumnarOnly run. The figure tallies
-// never need it; the claim/item/calibration analyses do.
-func (r *Results) MainDataset() *survey.Dataset {
-	return r.Main.MaterializeDataset(r.workers)
-}
-
-// StudentDataset returns the student cohort's row view, materializing
-// it from the columns on first use in a ColumnarOnly run.
-func (r *Results) StudentDataset() *survey.Dataset {
-	if r.Students == nil {
-		r.Students = r.StudentCols.ToSurveyWorkers(r.workers)
-	}
-	return r.Students
 }
 
 // backgroundFigure describes one of Figures 1-11.
@@ -364,16 +351,8 @@ func (r *Results) Figure14() report.Table {
 			"paper %C", "flags"},
 	}
 	qs := quiz.CoreQuestions()
-	d := r.Main.Cols
-	n := float64(d.Len())
-	// One engine pass classifies every (respondent, question) pair: 15
-	// outcome keyers over a single block scan. Per-block count matrices
-	// merge additively, so the totals are identical at any worker count.
-	keyers := make([]query.Keyer, len(qs))
-	for qi := range qs {
-		keyers[qi] = quiz.CoreOutcomeKeyer(d.Schema, qi)
-	}
-	totals, err := query.CountByKeys(r.MainSource(), keyers, nil, r.workers)
+	n := float64(r.Main.Cols.Len())
+	totals, err := r.coreOutcomeCounts()
 	if err != nil {
 		t.Notes = append(t.Notes, err.Error())
 		return t
@@ -401,6 +380,25 @@ func (r *Results) Figure14() report.Table {
 			flags)
 	}
 	return t
+}
+
+// coreOutcomeKeyers returns one outcome keyer per core question, in
+// paper order.
+func coreOutcomeKeyers(s *colstore.Schema) []query.Keyer {
+	keyers := make([]query.Keyer, len(quiz.CoreQuestions()))
+	for qi := range keyers {
+		keyers[qi] = quiz.CoreOutcomeKeyer(s, qi)
+	}
+	return keyers
+}
+
+// coreOutcomeCounts classifies every (respondent, core question) pair
+// in one engine pass — 15 outcome keyers over a single block scan —
+// and returns out[q][outcome]. Per-block count matrices merge
+// additively, so the totals are identical at any worker count.
+func (r *Results) coreOutcomeCounts() ([][]int64, error) {
+	src := r.MainSource()
+	return query.CountByKeys(src, coreOutcomeKeyers(src.Schema()), nil, r.workers)
 }
 
 // Figure15 renders the per-question optimization quiz breakdown.
@@ -549,7 +547,7 @@ func (r *Results) Figure21() report.Table {
 // through the engine: a count-only group-by on the level column. The
 // per-level counts rebuild the distribution bit-identically
 // (stats.LikertDistFromCounts).
-func suspicionDistQuery(src query.Source, itemID string, workers int) stats.LikertDist {
+func suspicionDistQuery(src query.Source, itemID string, workers int) (stats.LikertDist, error) {
 	s := src.Schema()
 	ci := s.MustColumnIndex(itemID)
 	scale := s.Column(ci).Scale
@@ -557,9 +555,9 @@ func suspicionDistQuery(src query.Source, itemID string, workers int) stats.Like
 		Key: query.LikertKey{Col: ci, Scale: scale},
 	}, workers)
 	if err != nil {
-		return stats.LikertDist{Scale: scale, Percent: make([]float64, scale)}
+		return stats.LikertDist{}, err
 	}
-	return stats.LikertDistFromCounts(res.Count[1:], scale)
+	return stats.LikertDistFromCounts(res.Count[1:], scale), nil
 }
 
 // Figure22 renders the suspicion distributions for both cohorts.
@@ -577,7 +575,12 @@ func (r *Results) Figure22() report.Table {
 		{"student", r.StudentSource(), paperdata.Figure22Student},
 	} {
 		for i, it := range quiz.SuspicionItems() {
-			d := suspicionDistQuery(grp.src, it.ID, r.workers)
+			d, err := suspicionDistQuery(grp.src, it.ID, r.workers)
+			if err != nil {
+				t.Rows = nil
+				t.Notes = append(t.Notes, err.Error())
+				return t
+			}
 			t.AddRow(grp.name, it.Condition.String(),
 				report.Pct(d.Percent[0]), report.Pct(d.Percent[1]), report.Pct(d.Percent[2]),
 				report.Pct(d.Percent[3]), report.Pct(d.Percent[4]),

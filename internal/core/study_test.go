@@ -162,7 +162,10 @@ func TestBackgroundFigureComparesToPaper(t *testing.T) {
 }
 
 func TestSuspicionDistributionHelper(t *testing.T) {
-	d := suspicionDistQuery(bigResults.MainSource(), "susp.invalid", bigResults.workers)
+	d, err := suspicionDistQuery(bigResults.MainSource(), "susp.invalid", bigResults.workers)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if d.N != 4000 {
 		t.Fatalf("n = %d", d.N)
 	}

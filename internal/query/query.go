@@ -452,19 +452,7 @@ func RunCollect(src Source, q Query, workers int) (*CollectResult, error) {
 // One pass serves a whole per-question breakdown (Figures 14/15: 15
 // outcome keyers, one scan).
 func CountByKeys(src Source, keyers []Keyer, filter []Predicate, workers int) ([][]int64, error) {
-	cols := (&Query{Filter: filter}).columnsOf()
-	seen := map[int]bool{}
-	for _, c := range cols {
-		seen[c] = true
-	}
-	for _, k := range keyers {
-		for _, c := range k.Columns() {
-			if !seen[c] {
-				seen[c] = true
-				cols = append(cols, c)
-			}
-		}
-	}
+	cols := withKeyerColumns((&Query{Filter: filter}).columnsOf(), keyers)
 	nb := NumBlocks(src.Len())
 	parts := make([][][]int64, nb)
 	err := scan(src, cols, workers, nb, func(st *scanState, b int, blk *Block) {
@@ -498,6 +486,57 @@ func CountByKeys(src Source, keyers []Keyer, filter []Predicate, workers int) ([
 				out[ki][key] += c
 			}
 		}
+	}
+	return out, nil
+}
+
+// withKeyerColumns appends the keyers' columns not already in cols.
+func withKeyerColumns(cols []int, keyers []Keyer) []int {
+	seen := map[int]bool{}
+	for _, c := range cols {
+		seen[c] = true
+	}
+	for _, k := range keyers {
+		for _, c := range k.Columns() {
+			if !seen[c] {
+				seen[c] = true
+				cols = append(cols, c)
+			}
+		}
+	}
+	return cols
+}
+
+// RowKeys executes several keyers over one scan, returning
+// out[k][i] = row i's key under keyer k, in respondent order: the
+// per-row counterpart of CountByKeys, for statistics that pair keys
+// across keyers row by row (item analysis). Each block writes only its
+// own rows, so the result is identical at any worker count. Every
+// keyer's cardinality must be at most 256.
+func RowKeys(src Source, keyers []Keyer, workers int) ([][]uint8, error) {
+	n := src.Len()
+	out := make([][]uint8, len(keyers))
+	for ki, k := range keyers {
+		if c := k.Cardinality(); c > 256 {
+			return nil, fmt.Errorf("query: RowKeys keyer %d cardinality %d exceeds 256", ki, c)
+		}
+		out[ki] = make([]uint8, n)
+	}
+	err := scan(src, withKeyerColumns(nil, keyers), workers, NumBlocks(n), func(st *scanState, b int, blk *Block) {
+		if cap(st.keys) < blk.N {
+			st.keys = make([]int32, BlockRows)
+		}
+		keys := st.keys[:blk.N]
+		for ki, k := range keyers {
+			k.Keys(blk, keys)
+			dst := out[ki][blk.Lo : blk.Lo+blk.N]
+			for j, key := range keys {
+				dst[j] = uint8(key)
+			}
+		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

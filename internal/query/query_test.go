@@ -469,3 +469,67 @@ func TestBitmap(t *testing.T) {
 		t.Fatalf("row 6 should be selected")
 	}
 }
+
+// wideKey is a keyer whose cardinality does not fit RowKeys' uint8
+// keys.
+type wideKey struct{ query.TFKey }
+
+func (wideKey) Cardinality() int { return 300 }
+
+// TestRowKeysVsReference pins RowKeys against per-row reference keys
+// (a truefalse code, a Likert level, and a single-choice code with
+// free text) on a multi-block cohort, across worker counts and both
+// source kinds, and checks that tallying its rows reproduces
+// CountByKeys.
+func TestRowKeysVsReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	s := quiz.Columns()
+	tfCi := s.MustColumnIndex("core.identity")
+	likCi := s.MustColumnIndex("susp.invalid")
+	roleCi := s.MustColumnIndex(quiz.BGRole)
+	d := randomCohort(t, rng, 2*query.BlockRows+77)
+	mem, shard := sources(t, d)
+	keyers := []query.Keyer{
+		query.TFKey{Col: tfCi},
+		query.LikertKey{Col: likCi, Scale: s.Column(likCi).Scale},
+		query.SingleKey{Col: roleCi, Options: s.Column(roleCi).Options},
+	}
+	card := len(s.Column(roleCi).Options) + 2
+	want := make([][]uint8, len(keyers))
+	for i := 0; i < d.Len(); i++ {
+		role := d.SingleCode(roleCi, i)
+		if role < 0 {
+			role = int32(card - 1)
+		}
+		want[0] = append(want[0], d.TF(tfCi, i))
+		want[1] = append(want[1], uint8(d.LikertLevel(likCi, i)))
+		want[2] = append(want[2], uint8(role))
+	}
+	counts, err := query.CountByKeys(mem, keyers, nil, 1)
+	if err != nil {
+		t.Fatalf("CountByKeys: %v", err)
+	}
+	for _, w := range workerCounts {
+		for srcName, src := range map[string]query.Source{"mem": mem, "shard": shard} {
+			got, err := query.RowKeys(src, keyers, w)
+			if err != nil {
+				t.Fatalf("RowKeys: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s workers=%d: row keys diverge from the reference", srcName, w)
+			}
+			for k := range keyers {
+				tally := make([]int64, keyers[k].Cardinality())
+				for _, key := range got[k] {
+					tally[key]++
+				}
+				if !reflect.DeepEqual(tally, counts[k]) {
+					t.Fatalf("%s workers=%d keyer %d: tally %v, CountByKeys %v", srcName, w, k, tally, counts[k])
+				}
+			}
+		}
+	}
+	if _, err := query.RowKeys(mem, []query.Keyer{wideKey{query.TFKey{Col: tfCi}}}, 1); err == nil {
+		t.Error("RowKeys accepted a keyer of cardinality 300")
+	}
+}

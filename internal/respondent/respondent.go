@@ -364,20 +364,7 @@ func (qm questionModel) dkProb(ability float64) float64 {
 // materialized. It parallelizes across GOMAXPROCS workers; the output
 // is identical at any worker count.
 func GenerateMain(seed int64, n int) *Population {
-	return GenerateMainWith(seed, n, nil)
-}
-
-// GenerateMainWith is GenerateMain with a background override applied
-// to every profile before abilities are derived — the hook for policy
-// experiments ("what if everyone had a full course of floating point
-// training?"). The calibration step re-fits on the modified cohort's
-// ability distribution only for the *observed* world; interventions
-// reuse the observed-world question offsets so the treated cohort is
-// scored by the same instrument response model. To achieve that, the
-// override world is generated with offsets calibrated on an unmodified
-// cohort drawn from the same seed.
-func GenerateMainWith(seed int64, n int, override func(*Profile)) *Population {
-	p := GenerateMainColumnar(seed, n, 0, override, Instrumentation{})
+	p := GenerateMainColumnar(seed, n, 0, nil, Instrumentation{})
 	p.MaterializeDataset(0)
 	return p
 }
@@ -400,7 +387,9 @@ func drawProfileBlocks(workers int, seed int64, profiles []Profile, override fun
 // GenerateMainColumnar generates the main cohort directly into columns,
 // with no row view: respondent i's answers are a handful of indexed
 // stores into per-question code columns, so the per-respondent sampling
-// loop performs zero heap allocations.
+// loop performs zero heap allocations. A non-nil override is applied to
+// every profile before abilities are derived, with the question models
+// calibrated on the untreated cohort (see GenerateTreatedColumnar).
 func GenerateMainColumnar(seed int64, n, workers int, override func(*Profile), inst Instrumentation) *Population {
 	workers = parallel.Workers(workers, n)
 	sp := inst.Span.StartChild("draw-profiles")
@@ -410,23 +399,47 @@ func GenerateMainColumnar(seed int64, n, workers int, override func(*Profile), i
 	sp.End()
 	calib := profiles
 	if override != nil {
-		// Calibrate against the untreated world so the intervention
-		// measures a real shift rather than being normalized away.
-		// Each base profile replays the same per-index stream the
-		// treated profile consumed, minus the override — a paired
-		// (common-random-numbers) design.
 		calib = make([]Profile, n)
 		drawProfileBlocks(workers, seed, calib, nil, nil)
 	}
-	return generateFromProfiles(workers, seed, profiles, calib, inst)
+	models := calibrateModels(workers, calib, inst)
+	return &Population{Profiles: profiles, Cols: sampleResponses(workers, seed, profiles, models, inst)}
 }
 
-// generateFromProfiles calibrates the question models against the
-// calib cohort's abilities and then samples responses for profiles,
-// block by block with per-(respondent, column) RNG streams.
-func generateFromProfiles(workers int, seed int64, profiles, calib []Profile, inst Instrumentation) *Population {
-	models := calibrateModels(workers, calib, inst)
+// GenerateTreatedColumnar samples one treated main cohort per override
+// — the policy experiment "what if everyone had a full course of
+// floating point training?" — and hands each to visit in override
+// order. The question models are calibrated once, on the untreated
+// cohort of (seed, n), so every treated cohort is scored by the same
+// instrument response model and an intervention measures a real shift
+// rather than being normalized away. Treated profile i replays the
+// per-index stream untreated profile i consumed, with the override
+// applied before abilities are derived: a paired
+// (common-random-numbers) design. Cohort k is byte-identical to
+// GenerateMainColumnar(seed, n, workers, overrides[k], ...).Cols.
+//
+// Only one treated cohort is alive at a time: visit must not retain d
+// past its return. The first error visit returns stops the sweep and
+// is returned.
+func GenerateTreatedColumnar(seed int64, n, workers int, overrides []func(*Profile),
+	visit func(k int, d *colstore.Dataset) error) error {
+	workers = parallel.Workers(workers, n)
+	profiles := make([]Profile, n)
+	drawProfileBlocks(workers, seed, profiles, nil, nil)
+	models := calibrateModels(workers, profiles, Instrumentation{})
+	for k, override := range overrides {
+		drawProfileBlocks(workers, seed, profiles, override, nil)
+		if err := visit(k, sampleResponses(workers, seed, profiles, models, Instrumentation{})); err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
+// sampleResponses samples every profile's answers against the
+// calibrated question models into a new columnar dataset, block by
+// block with per-(respondent, column) RNG streams.
+func sampleResponses(workers int, seed int64, profiles []Profile, models []questionModel, inst Instrumentation) *colstore.Dataset {
 	ssp := inst.Span.StartChild("sample-responses")
 	n := len(profiles)
 	d := quiz.Columns().NewDataset("1.0", n)
@@ -448,7 +461,7 @@ func generateFromProfiles(workers int, seed int64, profiles, calib []Profile, in
 		})
 	ssp.AddItems(int64(n))
 	ssp.End()
-	return &Population{Profiles: profiles, Cols: d}
+	return d
 }
 
 // calibrateModels builds the per-question response models with

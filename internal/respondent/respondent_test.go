@@ -1,10 +1,16 @@
 package respondent
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"math/bits"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"fpstudy/internal/colstore"
 	"fpstudy/internal/paperdata"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/stats"
@@ -354,37 +360,127 @@ func TestShortListsPredictLowerScores(t *testing.T) {
 	}
 }
 
-func TestGenerateMainWithOverride(t *testing.T) {
-	// Force everyone into the largest-codebase bucket: the cohort's
-	// mean core score must rise well above the untreated cohort's,
-	// because offsets are calibrated against the untreated world.
-	n := 1500
-	base := GenerateMain(123, n)
-	treated := GenerateMainWith(123, n, func(p *Profile) {
-		p.ContribSize = ">1,000,000 lines of code"
+// encodedFPDS returns the FPDS encoding of a generated cohort.
+func encodedFPDS(t *testing.T, d *colstore.Dataset) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.EncodeBinary(&buf, colstore.IOOptions{}); err != nil {
+		t.Fatalf("EncodeBinary: %v", err)
+	}
+	return buf.Bytes()
+}
+
+// treatedCohorts runs GenerateTreatedColumnar and returns each treated
+// cohort's FPDS encoding.
+func treatedCohorts(t *testing.T, seed int64, n, workers int, overrides []func(*Profile)) [][]byte {
+	t.Helper()
+	out := make([][]byte, len(overrides))
+	err := GenerateTreatedColumnar(seed, n, workers, overrides, func(k int, d *colstore.Dataset) error {
+		out[k] = encodedFPDS(t, d)
+		return nil
 	})
-	meanOf := func(pop *Population) float64 {
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestGenerateTreatedColumnar pins the treated-cohort entry point: an
+// identity override reproduces the untreated cohort byte for byte, a
+// forced training level lands in every respondent's answer, forcing
+// the largest codebase raises the mean score (the models are
+// calibrated on the untreated world), each cohort matches the
+// single-override GenerateMainColumnar, and the bytes are identical at
+// workers 1, 4 and 16.
+func TestGenerateTreatedColumnar(t *testing.T) {
+	if old := runtime.GOMAXPROCS(0); old < 16 {
+		runtime.GOMAXPROCS(16)
+		t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	}
+	const seed, n = 123, 1500
+	const level = "One or more courses"
+	overrides := []func(*Profile){
+		func(*Profile) {},
+		func(p *Profile) { p.FormalTraining = level },
+		func(p *Profile) { p.ContribSize = ">1,000,000 lines of code" },
+	}
+	want := treatedCohorts(t, seed, n, 1, overrides)
+
+	base := GenerateMainColumnar(seed, n, 1, nil, Instrumentation{}).Cols
+	if !bytes.Equal(want[0], encodedFPDS(t, base)) {
+		t.Error("identity override differs from the untreated cohort")
+	}
+	for k, o := range overrides {
+		single := GenerateMainColumnar(seed, n, 1, o, Instrumentation{}).Cols
+		if !bytes.Equal(want[k], encodedFPDS(t, single)) {
+			t.Errorf("override %d differs from GenerateMainColumnar with the same override", k)
+		}
+	}
+
+	var trained, bigCode *colstore.Dataset
+	err := GenerateTreatedColumnar(seed, n, 1, overrides[1:], func(k int, d *colstore.Dataset) error {
+		if k == 0 {
+			trained = d
+		} else {
+			bigCode = d
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci := trained.Schema.MustColumnIndex(quiz.BGFormalTraining)
+	for i := 0; i < n; i++ {
+		if got := trained.SingleLabel(ci, i); got != level {
+			t.Fatalf("respondent %d formal training %q, want %q", i, got, level)
+		}
+	}
+	meanOf := func(d *colstore.Dataset) float64 {
 		s := 0.0
-		for _, r := range pop.Dataset.Responses {
-			s += float64(quiz.ScoreCore(r).Correct)
+		for i := 0; i < d.Len(); i++ {
+			s += float64(quiz.ScoreCore(d.Response(i)).Correct)
 		}
-		return s / float64(len(pop.Dataset.Responses))
+		return s / float64(d.Len())
 	}
-	mb, mt := meanOf(base), meanOf(treated)
-	if mt < mb+1.0 {
-		t.Fatalf("forcing >1M LoC moved mean only %.2f -> %.2f", mb, mt)
+	if mb, mt := meanOf(base), meanOf(bigCode); mt < mb+1.0 {
+		t.Errorf("forcing >1M LoC moved mean only %.2f -> %.2f", mb, mt)
 	}
-	// The override is reflected in the background answers.
-	for _, r := range treated.Dataset.Responses[:20] {
-		if r.Answer(quiz.BGContribSize).Choice != ">1,000,000 lines of code" {
-			t.Fatal("override not recorded in responses")
+
+	for _, workers := range []int{4, 16} {
+		got := treatedCohorts(t, seed, n, workers, overrides)
+		for k := range got {
+			if !bytes.Equal(got[k], want[k]) {
+				t.Errorf("workers=%d: treated cohort %d differs from workers=1", workers, k)
+			}
 		}
 	}
-	// Nil override is exactly GenerateMain.
-	again := GenerateMainWith(123, 100, nil)
-	plain := GenerateMain(123, 100)
-	if again.Dataset.Responses[5].Answers[quiz.BGArea].Choice != plain.Dataset.Responses[5].Answers[quiz.BGArea].Choice {
-		t.Fatal("nil override diverged from GenerateMain")
+}
+
+// TestGenerateTreatedCalibratesOnce pins the calibrate-once design:
+// however many overrides a sweep samples, the question models are
+// bisected once (19 bisections), and a visit error stops the sweep.
+func TestGenerateTreatedCalibratesOnce(t *testing.T) {
+	var calls atomic.Int64
+	SetLatencyHook(&LatencyHook{Calibrate: func(int, time.Duration) { calls.Add(1) }})
+	defer SetLatencyHook(nil)
+	overrides := make([]func(*Profile), 4)
+	for k := range overrides {
+		overrides[k] = func(p *Profile) { p.FormalTraining = "None" }
+	}
+	visits := 0
+	errStop := errors.New("stop")
+	err := GenerateTreatedColumnar(5, 300, 0, overrides, func(k int, d *colstore.Dataset) error {
+		visits++
+		if k == 2 {
+			return errStop
+		}
+		return nil
+	})
+	if !errors.Is(err, errStop) || visits != 3 {
+		t.Errorf("err = %v after %d visits, want errStop after 3", err, visits)
+	}
+	if got, want := calls.Load(), int64(len(quiz.CoreQuestions())+len(quiz.OptQuestions())); got != want {
+		t.Errorf("%d bisections, want %d (one calibration)", got, want)
 	}
 }
 

@@ -295,20 +295,12 @@ func BinomialTestAboveChance(k, n int, p float64) float64 {
 
 // BootstrapMeanCI returns a percentile bootstrap confidence interval
 // for the mean at the given level (e.g. 0.95), using iters resamples
-// with a deterministic seed.
+// with a deterministic seed. len(xs) must be at most math.MaxInt32.
 func BootstrapMeanCI(xs []float64, level float64, iters int, seed int64) (lo, hi float64) {
 	if len(xs) == 0 {
 		return 0, 0
 	}
-	rng := rand.New(rand.NewSource(seed))
-	means := make([]float64, iters)
-	for i := 0; i < iters; i++ {
-		s := 0.0
-		for j := 0; j < len(xs); j++ {
-			s += xs[rng.Intn(len(xs))]
-		}
-		means[i] = s / float64(len(xs))
-	}
+	means := bootstrapMeans(xs, iters, seed)
 	sort.Float64s(means)
 	alpha := (1 - level) / 2
 	loIdx := int(alpha * float64(iters))
@@ -317,6 +309,38 @@ func BootstrapMeanCI(xs []float64, level float64, iters int, seed int64) (lo, hi
 		hiIdx = iters - 1
 	}
 	return means[loIdx], means[hiIdx]
+}
+
+// bootstrapMeans returns the means of iters resamples of xs, in draw
+// order. The resample indices are exactly
+// rand.New(rand.NewSource(seed)).Intn(len(xs))'s sequence: the loop
+// draws from the source directly with math/rand's Int31n rule inlined,
+// skipping three method calls per draw.
+func bootstrapMeans(xs []float64, iters int, seed int64) []float64 {
+	src := rand.NewSource(seed)
+	n := int32(len(xs))
+	// Int31n: mask when n is a power of two, otherwise redraw values
+	// above the largest multiple of n and reduce.
+	pow2 := n&(n-1) == 0
+	limit := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+	means := make([]float64, iters)
+	for i := range means {
+		s := 0.0
+		for j := int32(0); j < n; j++ {
+			v := int32(src.Int63() >> 32)
+			if pow2 {
+				v &= n - 1
+			} else {
+				for v > limit {
+					v = int32(src.Int63() >> 32)
+				}
+				v %= n
+			}
+			s += xs[v]
+		}
+		means[i] = s / float64(n)
+	}
+	return means
 }
 
 // CramersV measures association between two categorical variables given

@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -154,6 +155,61 @@ func TestBootstrapCI(t *testing.T) {
 		t.Fatal("bootstrap not deterministic")
 	}
 }
+
+// bootstrapMeansReference is the bootstrap draw loop as first written,
+// on math/rand's Intn: the reference the inlined draw rule must
+// reproduce exactly.
+func bootstrapMeansReference(xs []float64, iters int, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	means := make([]float64, iters)
+	for i := 0; i < iters; i++ {
+		s := 0.0
+		for j := 0; j < len(xs); j++ {
+			s += xs[rng.Intn(len(xs))]
+		}
+		means[i] = s / float64(len(xs))
+	}
+	return means
+}
+
+// TestBootstrapMatchesIntnReference pins the inlined Int31n draw rule
+// to math/rand's Intn sequence, every resample mean in draw order, on
+// power-of-two and rejection-sampled sizes. The values are distinct
+// per index, so a single differing draw moves a mean.
+func TestBootstrapMatchesIntnReference(t *testing.T) {
+	for _, n := range []int{1, 2, 7, 64, 199, 5000} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = math.Sqrt(float64(i) + 0.5)
+		}
+		for seed := int64(1); seed <= 29; seed++ {
+			got := bootstrapMeans(xs, 50, seed)
+			want := bootstrapMeansReference(xs, 50, seed)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("n=%d seed=%d: resample %d mean %v, reference %v", n, seed, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkBootstrapMeanCI times the calibration report's bootstrap:
+// 2000 resamples of a paper-sized (n=199) score vector.
+func BenchmarkBootstrapMeanCI(b *testing.B) {
+	xs := make([]float64, 199)
+	for i := range xs {
+		xs[i] = float64(i % 16)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bootstrapSink, _ = BootstrapMeanCI(xs, 0.95, 2000, int64(i))
+	}
+}
+
+// bootstrapSink keeps the benchmarked call from being optimized away.
+var bootstrapSink float64
 
 func TestCramersV(t *testing.T) {
 	// Perfect association.
