@@ -123,7 +123,7 @@ func BenchmarkHeadlineClaims(b *testing.B) {
 func BenchmarkPopulationGeneration(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = respondent.GenerateMain(int64(i), 199)
+		_ = respondent.GenerateMainColumnar(int64(i), 199, 0, nil, respondent.Instrumentation{})
 	}
 }
 

@@ -3,9 +3,8 @@
 // machine-readable JSON report, so performance changes can be tracked
 // across commits and machines. Each size also gets an io section:
 // dataset serialization through real files (FPDS binary and JSON,
-// encode and decode, plus the legacy row decoder as the json-rows
-// baseline), reported as MB/s and respondents/sec. Its compare mode
-// diffs two reports against noise bands and maintains the
+// encode and decode), reported as MB/s and respondents/sec. Its
+// compare mode diffs two reports against noise bands and maintains the
 // BENCH_history.jsonl trajectory — the perf-regression gate
 // `make bench-gate` runs.
 //
@@ -50,7 +49,6 @@ import (
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/respondent"
 	"fpstudy/internal/runlog"
-	"fpstudy/internal/survey"
 	"fpstudy/internal/telemetry"
 )
 
@@ -229,7 +227,7 @@ func profileLeg(cpuPath, heapPath string, seed int64, n, w int) error {
 	reg := telemetry.NewRegistry()
 	rec := core.InstallPipelineTelemetry(reg)
 	defer core.UninstallPipelineTelemetry()
-	core.Study{Seed: 1, NMain: 8, NStudent: 2, Workers: 1, ColumnarOnly: true}.Run()
+	core.Study{Seed: 1, NMain: 8, NStudent: 2, Workers: 1}.Run()
 
 	f, err := os.Create(cpuPath)
 	if err != nil {
@@ -242,8 +240,7 @@ func profileLeg(cpuPath, heapPath string, seed int64, n, w int) error {
 	if seed == 0 {
 		seed = 42
 	}
-	core.Study{Seed: seed, NMain: n, NStudent: 52, Workers: w,
-		Telemetry: rec, ColumnarOnly: true}.Run()
+	core.Study{Seed: seed, NMain: n, NStudent: 52, Workers: w, Telemetry: rec}.Run()
 	pprof.StopCPUProfile()
 	if err := f.Close(); err != nil {
 		return err
@@ -405,7 +402,7 @@ func benchMain() {
 	// this the first configuration timed absorbs the whole answer-key
 	// derivation, which at -reps 1 skews the serial baseline (and with
 	// it every speedup_vs_serial and the scaling gate).
-	core.Study{Seed: 1, NMain: 8, NStudent: 2, Workers: 1, ColumnarOnly: true}.Run()
+	core.Study{Seed: 1, NMain: 8, NStudent: 2, Workers: 1}.Run()
 
 	for _, n := range sizes {
 		serial := 0.0
@@ -420,12 +417,8 @@ func benchMain() {
 			latBefore := reg.Snapshot().Latencies
 			for r := 0; r < *reps; r++ {
 				rec := telemetry.NewRecorder(reg)
-				// ColumnarOnly: the benchmark times the columnar pipeline
-				// (generation into columns + columnar grading), which is
-				// what large cohorts run; row-view materialization is a
-				// separate, optional cost.
 				study := core.Study{Seed: *seed, NMain: n, NStudent: 52, Workers: w,
-					Telemetry: rec, ColumnarOnly: true}
+					Telemetry: rec}
 				// A forced GC before sampling makes the per-rep memory
 				// deltas comparable (no carry-over garbage).
 				runtime.GC()
@@ -693,11 +686,9 @@ func queryBenchStream(reg *telemetry.Registry, cols *colstore.Dataset, n, reps i
 }
 
 // ioBenchSize times dataset serialization at one cohort size through
-// real files in a temp directory: FPDS binary encode/decode, columnar
-// JSON encode (WriteJSON) and streaming decode (DecodeJSON), plus the
-// legacy whole-document row decoder (survey.DecodeDataset) as the
-// "json-rows" baseline the binary decoder is measured against. The
-// cohort is generated once; each op runs reps times and reports its
+// real files in a temp directory: FPDS binary encode/decode and
+// columnar JSON encode (WriteJSON) and streaming decode (DecodeJSON).
+// The cohort is generated once; each op runs reps times and reports its
 // best. reg supplies the latency observatory: each op's reps are
 // bracketed with registry snapshots so binary entries carry the FPDS
 // per-block codec quantiles.
@@ -801,23 +792,6 @@ func ioBenchSize(reg *telemetry.Registry, n int, seed int64, reps int) ([]benchc
 			}
 			if d.Len() != n {
 				return fmt.Errorf("decoded %d respondents, want %d", d.Len(), n)
-			}
-			return nil
-		}},
-		// The legacy path buffers the whole document and materializes
-		// row maps — timing includes the read, because needing the whole
-		// file in memory is part of its cost.
-		{"json-rows", "decode", jsonPath, func() error {
-			data, err := os.ReadFile(jsonPath)
-			if err != nil {
-				return err
-			}
-			ds, err := survey.DecodeDataset(data)
-			if err != nil {
-				return err
-			}
-			if len(ds.Responses) != n {
-				return fmt.Errorf("decoded %d respondents, want %d", len(ds.Responses), n)
 			}
 			return nil
 		}},

@@ -91,11 +91,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "fpreport: telemetry on http://%s/debug/vars (pprof under /debug/pprof/)\n", srv.Addr())
 	}
 
-	// ColumnarOnly: every figure, claim, analysis and query evaluates
-	// straight off the columns, so a reporting invocation never builds
-	// per-respondent maps.
 	study := core.Study{Seed: *seed, NMain: *n, NStudent: *nStudents, Workers: *workers,
-		Telemetry: rec, ColumnarOnly: true}
+		Telemetry: rec}
 
 	if *queryExpr != "" {
 		if err := runQuery(study, *data, *queryExpr); err != nil {

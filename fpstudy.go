@@ -26,7 +26,10 @@
 package fpstudy
 
 import (
+	"io"
+
 	"fpstudy/internal/audit"
+	"fpstudy/internal/colstore"
 	"fpstudy/internal/core"
 	"fpstudy/internal/eft"
 	"fpstudy/internal/expr"
@@ -287,8 +290,13 @@ func OptQuestions() []OptQuestion { return quiz.OptQuestions() }
 // Response is one participant's answers.
 type Response = survey.Response
 
-// Dataset is a collection of responses.
+// Dataset is a collection of responses (the row view).
 type Dataset = survey.Dataset
+
+// Columns is a cohort in columnar storage, the form the study generates
+// and grades. Columns.ToSurvey returns its row view and
+// Columns.WriteJSON writes it as row JSON.
+type Columns = colstore.Dataset
 
 // Tally is a per-participant grade.
 type Tally = quiz.Tally
@@ -296,8 +304,9 @@ type Tally = quiz.Tally
 // EncodeDataset renders a dataset as JSON.
 func EncodeDataset(d *Dataset) ([]byte, error) { return survey.EncodeDataset(d) }
 
-// DecodeDataset parses a dataset from JSON.
-func DecodeDataset(data []byte) (*Dataset, error) { return survey.DecodeDataset(data) }
+// DecodeJSON reads a row-JSON dataset of the paper's instrument into
+// columns.
+func DecodeJSON(r io.Reader) (*Columns, error) { return colstore.DecodeJSON(quiz.Columns(), r) }
 
 // ScoreCore grades the core quiz of a response.
 func ScoreCore(r Response) Tally { return quiz.ScoreCore(r) }
@@ -309,12 +318,6 @@ func ScoreOpt(r Response) Tally { return quiz.ScoreOpt(r) }
 
 // Population is a generated synthetic cohort.
 type Population = respondent.Population
-
-// GenerateMain generates the main cohort (the paper's 199 developers).
-func GenerateMain(seed int64, n int) *Population { return respondent.GenerateMain(seed, n) }
-
-// GenerateStudents generates the student cohort (suspicion quiz only).
-func GenerateStudents(seed int64, n int) *Dataset { return respondent.GenerateStudents(seed, n) }
 
 // Study configures a reproduction run.
 type Study = core.Study

@@ -4,6 +4,7 @@ package fpstudy_test
 // does goes through these entry points.
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestFacadeStudyPipeline(t *testing.T) {
 		t.Fatalf("%d claims", len(claims))
 	}
 	// Scoring via facade.
-	tally := fpstudy.ScoreCore(results.Main.Dataset.Responses[0])
+	tally := fpstudy.ScoreCore(results.Main.Cols.Response(0))
 	if tally.Total() != 15 {
 		t.Fatalf("tally total %d", tally.Total())
 	}
@@ -132,29 +133,30 @@ func TestEndToEndDatasetPipeline(t *testing.T) {
 	// The full data path a real deployment uses: generate responses,
 	// serialize, deserialize, validate against the instrument,
 	// anonymize, flatten, and re-analyze.
-	pop := fpstudy.GenerateMain(99, 120)
+	cols := fpstudy.Study{Seed: 99, NMain: 120, NStudent: 1}.Run().Main.Cols
 	ins := fpstudy.Instrument()
 
-	data, err := fpstudy.EncodeDataset(pop.Dataset)
+	var buf bytes.Buffer
+	if err := cols.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	back, err := fpstudy.DecodeJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := fpstudy.DecodeDataset(data)
-	if err != nil {
+	rows := back.ToSurvey()
+	if err := ins.ValidateDataset(rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := ins.ValidateDataset(back); err != nil {
-		t.Fatal(err)
-	}
-	back.Anonymize()
-	csv := ins.FlattenCSV(back)
+	rows.Anonymize()
+	csv := ins.FlattenCSV(rows)
 	if lines := strings.Count(csv, "\n"); lines != 121 { // header + 120
 		t.Fatalf("CSV lines: %d", lines)
 	}
 	// Re-score the round-tripped data: identical tallies.
-	for i := range pop.Dataset.Responses {
-		a := fpstudy.ScoreCore(pop.Dataset.Responses[i])
-		b := fpstudy.ScoreCore(back.Responses[i])
+	for i := 0; i < cols.Len(); i++ {
+		a := fpstudy.ScoreCore(cols.Response(i))
+		b := fpstudy.ScoreCore(rows.Responses[i])
 		if a != b {
 			t.Fatalf("response %d tally changed through serialization", i)
 		}

@@ -77,8 +77,8 @@ type Report struct {
 	IntervalRelWidth float64
 
 	// Shadow execution.
-	ShadowValue   mpfloat.Float
-	ShadowRelErr  float64
+	ShadowValue    mpfloat.Float
+	ShadowRelErr   float64
 	ShadowRelErrOK bool // false when the error is NaN (e.g. zero shadow)
 
 	// Precision probe: fraction of operations that tolerate binary32

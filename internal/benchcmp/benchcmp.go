@@ -34,16 +34,16 @@ import (
 //	  memory statistics from runtime.ReadMemStats deltas over the best
 //	  rep: "allocs_per_respondent", "total_alloc_mb" (MiB),
 //	  "gc_pause_total_ms", "gc_count". The pipeline is timed
-//	  ColumnarOnly (columnar generation + grading, no row-view
-//	  materialization) — the configuration large cohorts run.
+//	  columnar (generation into columns + grading, no row view).
 //	4 — adds the top-level "io" array: dataset serialization
 //	  benchmarks, one entry per (n, format, op) with best_seconds, the
 //	  on-disk byte size, mb_per_sec and respondents_per_sec. Formats
 //	  are "binary" (the FPDS shard codec), "json" (columnar
-//	  WriteJSON / streaming DecodeJSON), and "json-rows" (the legacy
-//	  whole-document survey.DecodeDataset row decoder — the baseline
-//	  the binary decoder is measured against; decode only). io
-//	  throughput is gated by Compare under the throughput band.
+//	  WriteJSON / streaming DecodeJSON), and "json-rows" (a
+//	  whole-document row decoder, decode only; it has since been
+//	  deleted and fpbench no longer emits it, but old reports still
+//	  parse and their entries compare as OnlyOld). io throughput is
+//	  gated by Compare under the throughput band.
 //	5 — adds "host.serial_host": true when the report was measured
 //	  with GOMAXPROCS=1, where every -workers value degenerates to a
 //	  serial run and scaling numbers say nothing about the code.
@@ -152,7 +152,7 @@ type StageLatency struct {
 // gaining respondents/sec.
 type IORun struct {
 	N      int    `json:"n"`
-	Format string `json:"format"` // "binary", "json", or "json-rows"
+	Format string `json:"format"` // "binary" or "json" ("json-rows" in old reports)
 	Op     string `json:"op"`     // "encode" or "decode"
 	Reps   int    `json:"reps"`
 	// Bytes is the serialized dataset size (identical across reps — the

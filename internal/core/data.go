@@ -10,9 +10,9 @@ import (
 
 // ResultsFromColumns builds a Results over an already-loaded main
 // cohort instead of generating one: it grades the columns once into
-// Outcomes, exactly like a ColumnarOnly Run. The dataset must use the
-// quiz schema (load it with colstore.LoadFile(quiz.Columns(), ...)) so
-// the cached grading tables apply. When students is nil the student
+// Outcomes, exactly like Run. The dataset must use the quiz schema
+// (load it with colstore.LoadFile(quiz.Columns(), ...)) so the cached
+// grading tables apply. When students is nil the student
 // cohort is regenerated from s.Seed+1 / s.NStudent — the same seed
 // split Run uses — so a run at the generating seed reproduces Run
 // bit-for-bit.

@@ -43,7 +43,7 @@ func engineErrorClaim(claims []Claim) bool {
 // engine-error claim (which makes fpreport exit 1).
 func TestEngineErrorsSurface(t *testing.T) {
 	fresh := func() *Results {
-		return Study{Seed: 42, NMain: 199, NStudent: 52, ColumnarOnly: true}.Run()
+		return Study{Seed: 42, NMain: 199, NStudent: 52}.Run()
 	}
 	r := fresh()
 	r.mainSrc = failingSource{r.MainSource()}

@@ -39,7 +39,7 @@ func figureClaimsFingerprint(t *testing.T, r *Results) [22 + 1][32]byte {
 // bit-for-bit (the student cohort regenerates from the same seed
 // split).
 func TestGoldenDataPathReproducesRun(t *testing.T) {
-	s := Study{Seed: 42, NMain: 199, NStudent: 52, ColumnarOnly: true}
+	s := Study{Seed: 42, NMain: 199, NStudent: 52}
 	base := s.Run()
 	want := figureClaimsFingerprint(t, base)
 
@@ -84,7 +84,7 @@ func TestGoldenDataPathReproducesRun(t *testing.T) {
 // bit-identical whether the cohort is in-process or FPDS-loaded, at
 // workers 1, 4, and 16.
 func TestGoldenQueryEngineWorkerSweep(t *testing.T) {
-	base := Study{Seed: 42, NMain: 199, NStudent: 52, ColumnarOnly: true}
+	base := Study{Seed: 42, NMain: 199, NStudent: 52}
 	want := figureClaimsFingerprint(t, base.Run())
 
 	var bin bytes.Buffer
@@ -116,7 +116,7 @@ func TestGoldenQueryEngineWorkerSweep(t *testing.T) {
 // explicit -studentdata file: loading both cohorts from disk matches
 // the in-process run too.
 func TestGoldenDataPathStudentFile(t *testing.T) {
-	s := Study{Seed: 42, NMain: 199, NStudent: 52, ColumnarOnly: true}
+	s := Study{Seed: 42, NMain: 199, NStudent: 52}
 	base := s.Run()
 	want := figureClaimsFingerprint(t, base)
 
@@ -153,7 +153,7 @@ func TestGoldenIOTelemetryInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("2000-respondent cohort encodes; skipped in -short mode")
 	}
-	s := Study{Seed: 42, NMain: 2000, NStudent: 52, ColumnarOnly: true}
+	s := Study{Seed: 42, NMain: 2000, NStudent: 52}
 	cols := s.Run().Main.Cols
 
 	encode := func(opt colstore.IOOptions) []byte {

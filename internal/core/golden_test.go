@@ -5,7 +5,7 @@ import (
 	"runtime"
 	"testing"
 
-	"fpstudy/internal/survey"
+	"fpstudy/internal/colstore"
 	"fpstudy/internal/telemetry"
 )
 
@@ -31,20 +31,26 @@ func goldenSnapshot(t *testing.T, n, workers int, rec *telemetry.Recorder) golde
 	s := Study{Seed: 42, NMain: n, NStudent: 52, Workers: workers, Telemetry: rec}
 	r := s.Run()
 	var g golden
-	mainJSON, err := survey.EncodeDataset(r.Main.Dataset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	studentJSON, err := survey.EncodeDataset(r.Students)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.main = sha256.Sum256(mainJSON)
-	g.students = sha256.Sum256(studentJSON)
+	g.main = jsonHash(t, r.Main.Cols)
+	g.students = jsonHash(t, r.StudentCols)
 	for fig := 1; fig <= 22; fig++ {
 		g.figures[fig-1] = sha256.Sum256([]byte(r.Figure(fig).String()))
 	}
 	return g
+}
+
+// jsonHash hashes the row-JSON encoding of a cohort. WriteJSON emits
+// exactly survey.EncodeDataset's bytes for the row view (pinned by
+// respondent.TestWriteJSONMatchesRowEncoding).
+func jsonHash(t *testing.T, d *colstore.Dataset) [32]byte {
+	t.Helper()
+	h := sha256.New()
+	if err := d.WriteJSON(h); err != nil {
+		t.Fatal(err)
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
 }
 
 // golden is the byte-level fingerprint of one full study run.

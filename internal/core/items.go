@@ -117,7 +117,7 @@ func (r *Results) RunTrainingIntervention(level string) (TrainingIntervention, e
 func (r *Results) interventions(base float64, levels []string) ([]TrainingIntervention, error) {
 	overrides := make([]func(*respondent.Profile), len(levels))
 	for k, level := range levels {
-		overrides[k] = func(p *respondent.Profile) { p.FormalTraining = level }
+		overrides[k] = respondent.ForceTraining(level)
 	}
 	ivs := make([]TrainingIntervention, len(levels))
 	err := respondent.GenerateTreatedColumnar(r.Study.Seed, r.Study.NMain, r.workers, overrides,

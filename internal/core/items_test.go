@@ -90,7 +90,7 @@ func TestInterventionReport(t *testing.T) {
 // intervention's cost: one InterventionReport calibrates the question
 // models once (one bisection per question), not once per forced level.
 func TestInterventionCalibratesOnce(t *testing.T) {
-	r := Study{Seed: 42, NMain: 199, NStudent: 52, ColumnarOnly: true}.Run()
+	r := Study{Seed: 42, NMain: 199, NStudent: 52}.Run()
 	var calls atomic.Int64
 	respondent.SetLatencyHook(&respondent.LatencyHook{
 		Calibrate: func(int, time.Duration) { calls.Add(1) },

@@ -39,13 +39,8 @@ type Study struct {
 	// no-op handles). Telemetry never affects the produced data; the
 	// golden test pins bit-identical output with it on or off.
 	Telemetry *telemetry.Recorder
-	// ColumnarOnly skips materializing the row views (one
-	// map[string]Answer per respondent) after generation. Grading,
-	// every figure, the headline claims and every analysis evaluate
-	// over the columnar storage, so the reporting pipeline never
-	// needs the rows; only callers that read Main.Dataset or Students
-	// do. At n=1M the row view is the dominant allocation cost, so
-	// fpbench measures with this set.
+	// Deprecated: ColumnarOnly is ignored. Every run is columnar; the
+	// field remains only so existing callers still compile.
 	ColumnarOnly bool
 }
 
@@ -57,13 +52,10 @@ func DefaultStudy() Study {
 // Results holds the generated cohorts and their grades.
 type Results struct {
 	Study Study
-	// Main is the main cohort. Main.Cols is always present; Main.Dataset
-	// (the row view) is materialized unless the study ran ColumnarOnly.
+	// Main is the main cohort.
 	Main *respondent.Population
-	// StudentCols is the student cohort's columnar storage; Students is
-	// its row view (nil in ColumnarOnly runs).
+	// StudentCols is the student cohort.
 	StudentCols *colstore.Dataset
-	Students    *survey.Dataset
 
 	// Outcomes is the main cohort graded once: per-respondent outcome
 	// counts on the core quiz, the three T/F optimization questions
@@ -140,9 +132,6 @@ func (s Study) Run() *Results {
 		sp := root.StartChild("generate-main")
 		r.Main = respondent.GenerateMainColumnar(s.Seed, s.NMain, s.Workers, nil,
 			respondent.Instrumentation{Span: sp, Progress: prog})
-		if !s.ColumnarOnly {
-			r.Main.MaterializeDataset(s.Workers)
-		}
 		sp.AddItems(int64(s.NMain))
 		sp.End()
 	})
@@ -150,9 +139,6 @@ func (s Study) Run() *Results {
 		sp := root.StartChild("generate-students")
 		r.StudentCols = respondent.GenerateStudentsColumnar(s.Seed+1, s.NStudent, s.Workers,
 			respondent.Instrumentation{Span: sp})
-		if !s.ColumnarOnly {
-			r.Students = r.StudentCols.ToSurveyWorkers(s.Workers)
-		}
 		sp.AddItems(int64(s.NStudent))
 		sp.End()
 	})

@@ -16,11 +16,11 @@ var bigResults = Study{Seed: 42, NMain: 4000, NStudent: 2000}.Run()
 var paperResults = DefaultStudy().Run()
 
 func TestDefaultStudySizes(t *testing.T) {
-	if len(paperResults.Main.Dataset.Responses) != paperdata.NMain {
-		t.Fatalf("main n = %d", len(paperResults.Main.Dataset.Responses))
+	if paperResults.Main.Cols.Len() != paperdata.NMain {
+		t.Fatalf("main n = %d", paperResults.Main.Cols.Len())
 	}
-	if len(paperResults.Students.Responses) != paperdata.NStudent {
-		t.Fatalf("students n = %d", len(paperResults.Students.Responses))
+	if paperResults.StudentCols.Len() != paperdata.NStudent {
+		t.Fatalf("students n = %d", paperResults.StudentCols.Len())
 	}
 	if paperResults.Outcomes.Len() != paperdata.NMain {
 		t.Fatalf("graded n = %d", paperResults.Outcomes.Len())

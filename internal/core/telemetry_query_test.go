@@ -21,7 +21,7 @@ func TestQueryWorkCountersInPrometheusExposition(t *testing.T) {
 	defer UninstallPipelineTelemetry()
 
 	r := Study{Seed: 7, NMain: 300, NStudent: 20, Workers: 2,
-		ColumnarOnly: true, Telemetry: rec}.Run()
+		Telemetry: rec}.Run()
 	src := r.MainSource()
 	s := r.Main.Cols.Schema
 	area := s.MustColumnIndex(quiz.BGArea)

@@ -63,7 +63,7 @@ func TestWriteJSONMatchesRowEncoding(t *testing.T) {
 	if err := pop.Cols.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	want, err := survey.EncodeDataset(pop.MaterializeDataset(0))
+	want, err := survey.EncodeDataset(pop.Cols.ToSurvey())
 	if err != nil {
 		t.Fatalf("EncodeDataset: %v", err)
 	}
@@ -73,47 +73,14 @@ func TestWriteJSONMatchesRowEncoding(t *testing.T) {
 	}
 }
 
-// TestColumnarMaterializeEqualsLegacyRows checks the materialized row
-// view of a columnar cohort against the historical row generator
-// output shape: same tokens, same answers for a sample of respondents.
-func TestColumnarMaterializeEqualsLegacyRows(t *testing.T) {
-	pop := GenerateMain(11, 80)
-	if pop.Cols == nil || pop.Dataset == nil {
-		t.Fatal("GenerateMain must populate both columns and row view")
-	}
-	rt := pop.Cols.ToSurvey()
-	if len(rt.Responses) != len(pop.Dataset.Responses) {
-		t.Fatalf("row counts differ: %d vs %d", len(rt.Responses), len(pop.Dataset.Responses))
-	}
-	for _, i := range []int{0, 1, 37, 79} {
-		a, b := rt.Responses[i], pop.Dataset.Responses[i]
-		if a.Token != b.Token {
-			t.Fatalf("respondent %d token %q != %q", i, a.Token, b.Token)
-		}
-		if len(a.Answers) != len(b.Answers) {
-			t.Fatalf("respondent %d answer counts differ", i)
-		}
-		for id, ans := range b.Answers {
-			got := a.Answers[id]
-			if got.Choice != ans.Choice || got.Level != ans.Level ||
-				len(got.Choices) != len(ans.Choices) {
-				t.Fatalf("respondent %d question %s: %+v != %+v", i, id, got, ans)
-			}
-		}
-	}
-}
-
 // TestSampleZeroAlloc pins the zero-allocation contract of the
 // sampling inner loop: repositioning the worker generator and sampling
 // a whole block of respondents into the columns must not touch the
 // heap.
 func TestSampleZeroAlloc(t *testing.T) {
 	profiles := make([]Profile, 64)
+	drawProfileBlocks(1, 42, profiles, nil, nil)
 	rng := parallel.NewXRand()
-	for i := range profiles {
-		rng.SeedAt(42, streamProfile, int64(i))
-		profiles[i] = drawProfile(rng)
-	}
 	models := calibrateModels(0, profiles, Instrumentation{})
 	d := quiz.Columns().NewDataset("1.0", len(profiles))
 	cs := newColSampler(d, models, paperdata.Figure22Main)
@@ -186,11 +153,8 @@ func TestCalibrationSweepZeroAlloc(t *testing.T) {
 func BenchmarkSampleBlock(b *testing.B) {
 	const blockN = 1024
 	profiles := make([]Profile, blockN)
+	drawProfileBlocks(1, 42, profiles, nil, nil)
 	rng := parallel.NewXRand()
-	for i := range profiles {
-		rng.SeedAt(42, streamProfile, int64(i))
-		profiles[i] = drawProfile(rng)
-	}
 	models := calibrateModels(0, profiles, Instrumentation{})
 	d := quiz.Columns().NewDataset("1.0", blockN)
 	cs := newColSampler(d, models, paperdata.Figure22Main)

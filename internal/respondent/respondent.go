@@ -79,28 +79,20 @@ const (
 // respondent (15 core + 4 opt + 5 suspicion used today).
 const subStreamBits = 5
 
-// profileIdx caches each single-choice factor's entry index in its
-// paperdata table (= its bgTables entry), resolved at draw time and
-// re-derived when an override rewrites the labels. The sampler and the
-// ability model address tables by these indices instead of hashing
-// label strings per respondent.
+// profileIdx holds each single-choice factor's entry index in its
+// paperdata table (= its bgTables entry). The sampler and the ability
+// model address tables by these indices; the labels live only in
+// paperdata and, once sampled, in the columns.
 type profileIdx struct {
 	position, area, training, role int16
 	contribSize, contribExtent     int16
 	involvedSize, involvedExtent   int16
 }
 
-// Profile is one synthetic participant's background.
+// Profile is one synthetic participant's background. It holds no
+// pointers (no label strings), so a million-profile slice is 56 MB the
+// garbage collector never scans.
 type Profile struct {
-	Position       string
-	Area           string
-	FormalTraining string
-	Role           string
-	ContribSize    string
-	ContribExtent  string
-	InvolvedSize   string
-	InvolvedExtent string
-
 	// The multi-select factors as option bitsets over their schema
 	// columns (bit j = option with code j+1, table order). The paper's
 	// analysis only ever consumes these lists by size ("very short
@@ -119,25 +111,19 @@ type Profile struct {
 	idx profileIdx
 }
 
-// Population is a generated cohort. Cols is the primary storage: the
-// columnar dataset the respondents were sampled directly into (see
-// internal/colstore). Dataset is the row view (one map[string]Answer
-// per respondent); the Generate* entry points materialize it for
-// compatibility, while the *Columnar entry points leave it nil so
-// million-respondent pipelines never pay for a map per respondent.
-type Population struct {
-	Profiles []Profile
-	Cols     *colstore.Dataset
-	Dataset  *survey.Dataset
+// ForceTraining returns a profile override that sets formal training to
+// level, for the training intervention. The label is resolved once,
+// here: a level the instrument does not offer panics.
+func ForceTraining(level string) func(*Profile) {
+	k := tables().training.index(quiz.BGFormalTraining, level)
+	return func(p *Profile) { p.idx.training = k }
 }
 
-// MaterializeDataset fills in the row view from the columns (no-op if
-// already present) and returns it.
-func (p *Population) MaterializeDataset(workers int) *survey.Dataset {
-	if p.Dataset == nil {
-		p.Dataset = p.Cols.ToSurveyWorkers(workers)
-	}
-	return p.Dataset
+// Population is a generated main cohort, stored as the columnar dataset
+// the respondents were sampled directly into (see internal/colstore).
+// Cols.ToSurvey gives the row view when a caller needs one.
+type Population struct {
+	Cols *colstore.Dataset
 }
 
 // Effect sizes in core-quiz score points (digitized from Figures
@@ -234,12 +220,6 @@ func centeredEffect(effects map[string]float64, def float64, level string, margi
 	return get(level) - mean
 }
 
-// drawProfile generates one background profile and its latent
-// abilities.
-func drawProfile(rng *parallel.XRand) Profile {
-	return drawProfileWith(rng, nil)
-}
-
 // drawProfileWith draws a background, applies an optional override to
 // the background factors, and then derives abilities — so an
 // intervention (forcing a factor level) feeds through the ability model
@@ -248,7 +228,6 @@ func drawProfileWith(rng *parallel.XRand, override func(*Profile)) Profile {
 	p := drawBackground(rng)
 	if override != nil {
 		override(&p)
-		reindexProfile(&p)
 	}
 	noiseCore, noiseOpt := rng.NormPair()
 	assignAbilities(&p, noiseCore, noiseOpt)
@@ -259,41 +238,17 @@ func drawBackground(rng *parallel.XRand) Profile {
 	t := tables()
 	var p Profile
 	p.idx.position = t.position.draw(rng)
-	p.Position = t.position.labels[p.idx.position]
 	p.idx.area = t.area.draw(rng)
-	p.Area = t.area.labels[p.idx.area]
 	p.idx.training = t.training.draw(rng)
-	p.FormalTraining = t.training.labels[p.idx.training]
 	p.InformalMask = t.informal.draw(rng)
 	p.idx.role = t.role.draw(rng)
-	p.Role = t.role.labels[p.idx.role]
 	p.FPLanguagesMask = t.languages.draw(rng)
 	p.ArbPrecMask = t.arbprec.draw(rng)
 	p.idx.contribSize = t.contribSize.draw(rng)
-	p.ContribSize = t.contribSize.labels[p.idx.contribSize]
 	p.idx.contribExtent = t.contribExtent.draw(rng)
-	p.ContribExtent = t.contribExtent.labels[p.idx.contribExtent]
 	p.idx.involvedSize = t.involvedSize.draw(rng)
-	p.InvolvedSize = t.involvedSize.labels[p.idx.involvedSize]
 	p.idx.involvedExtent = t.involvedExtent.draw(rng)
-	p.InvolvedExtent = t.involvedExtent.labels[p.idx.involvedExtent]
 	return p
-}
-
-// reindexProfile re-derives the cached entry indices from the label
-// fields — the slow path taken only after an override has rewritten
-// labels. Unknown labels panic: an intervention must force a level the
-// instrument actually offers.
-func reindexProfile(p *Profile) {
-	t := tables()
-	p.idx.position = t.position.index(quiz.BGPosition, p.Position)
-	p.idx.area = t.area.index(quiz.BGArea, p.Area)
-	p.idx.training = t.training.index(quiz.BGFormalTraining, p.FormalTraining)
-	p.idx.role = t.role.index(quiz.BGRole, p.Role)
-	p.idx.contribSize = t.contribSize.index(quiz.BGContribSize, p.ContribSize)
-	p.idx.contribExtent = t.contribExtent.index(quiz.BGContribExtent, p.ContribExtent)
-	p.idx.involvedSize = t.involvedSize.index(quiz.BGInvolvedSize, p.InvolvedSize)
-	p.idx.involvedExtent = t.involvedExtent.index(quiz.BGInvolvedExtent, p.InvolvedExtent)
 }
 
 // assignAbilities derives the latent skills from the background factors
@@ -358,17 +313,6 @@ func (qm questionModel) dkProb(ability float64) float64 {
 	return p
 }
 
-// GenerateMain builds the main cohort: n respondents with full
-// background, core, optimization, and suspicion answers, calibrated
-// against the paper's published aggregates, with the row view
-// materialized. It parallelizes across GOMAXPROCS workers; the output
-// is identical at any worker count.
-func GenerateMain(seed int64, n int) *Population {
-	p := GenerateMainColumnar(seed, n, 0, nil, Instrumentation{})
-	p.MaterializeDataset(0)
-	return p
-}
-
 // drawProfileBlocks fills profiles by fixed 4096-respondent blocks,
 // one xoshiro generator per worker repositioned per respondent.
 func drawProfileBlocks(workers int, seed int64, profiles []Profile, override func(*Profile), progress *telemetry.Counter) {
@@ -384,10 +328,10 @@ func drawProfileBlocks(workers int, seed int64, profiles []Profile, override fun
 		})
 }
 
-// GenerateMainColumnar generates the main cohort directly into columns,
-// with no row view: respondent i's answers are a handful of indexed
-// stores into per-question code columns, so the per-respondent sampling
-// loop performs zero heap allocations. A non-nil override is applied to
+// GenerateMainColumnar generates the main cohort directly into columns:
+// respondent i's answers are a handful of indexed stores into
+// per-question code columns, so the per-respondent sampling loop
+// performs zero heap allocations. A non-nil override is applied to
 // every profile before abilities are derived, with the question models
 // calibrated on the untreated cohort (see GenerateTreatedColumnar).
 func GenerateMainColumnar(seed int64, n, workers int, override func(*Profile), inst Instrumentation) *Population {
@@ -403,7 +347,7 @@ func GenerateMainColumnar(seed int64, n, workers int, override func(*Profile), i
 		drawProfileBlocks(workers, seed, calib, nil, nil)
 	}
 	models := calibrateModels(workers, calib, inst)
-	return &Population{Profiles: profiles, Cols: sampleResponses(workers, seed, profiles, models, inst)}
+	return &Population{Cols: sampleResponses(workers, seed, profiles, models, inst)}
 }
 
 // GenerateTreatedColumnar samples one treated main cohort per override
@@ -664,7 +608,7 @@ func cumulative(percent [5]float64) [5]float64 {
 }
 
 // sampleBlock writes respondents [lo, hi): background codes row-major
-// (pure indexed stores from the profile's cached entry indices), then
+// (pure indexed stores from the profile's entry indices), then
 // quiz answers and suspicion answers column-major — one question column
 // across the whole block at a time, the cache-friendly orientation.
 // Only elements [lo, hi) of each column are touched, so distinct blocks
@@ -717,13 +661,6 @@ func drawLikert(rng *parallel.XRand, cum *[5]float64) int {
 		}
 	}
 	return 5
-}
-
-// GenerateStudents builds the student cohort as a row view: suspicion
-// answers only (the paper's student group took just the suspicion quiz
-// as an exam problem).
-func GenerateStudents(seed int64, n int) *survey.Dataset {
-	return GenerateStudentsColumnar(seed, n, 0, Instrumentation{}).ToSurveyWorkers(0)
 }
 
 // GenerateStudentsColumnar generates the student cohort directly into

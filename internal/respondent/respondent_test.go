@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/bits"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -22,33 +23,91 @@ import (
 // comparisons in the benchmark harness use n=199.
 const testN = 4000
 
-var testPop = GenerateMain(42, testN)
+var (
+	testPop  = GenerateMainColumnar(42, testN, 0, nil, Instrumentation{})
+	testRows = testPop.Cols.ToSurvey()
+)
+
+// testLabels returns every test respondent's answer to one
+// single-choice background question, read from the columns.
+func testLabels(id string) []string {
+	d := testPop.Cols
+	ci := d.Schema.MustColumnIndex(id)
+	out := make([]string, d.Len())
+	for i := range out {
+		out[i] = d.SingleLabel(ci, i)
+	}
+	return out
+}
+
+// rowJSON returns the row-JSON encoding of a cohort.
+func rowJSON(t *testing.T, d *colstore.Dataset) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.WriteJSON(&buf); err != nil {
+		t.Fatalf("WriteJSON: %v", err)
+	}
+	return buf.Bytes()
+}
 
 func TestDeterministic(t *testing.T) {
-	a := GenerateMain(7, 50)
-	b := GenerateMain(7, 50)
-	for i := range a.Profiles {
-		if a.Profiles[i].Area != b.Profiles[i].Area ||
-			a.Profiles[i].Ability != b.Profiles[i].Ability {
-			t.Fatal("generation not deterministic")
+	a := make([]Profile, 50)
+	b := make([]Profile, 50)
+	drawProfileBlocks(0, 7, a, nil, nil)
+	drawProfileBlocks(0, 7, b, nil, nil)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("profile %d not deterministic", i)
 		}
 	}
-	ra := a.Dataset.Responses[10]
-	rb := b.Dataset.Responses[10]
-	for id, ans := range ra.Answers {
-		if bAns := rb.Answers[id]; bAns.Choice != ans.Choice || bAns.Level != ans.Level {
-			t.Fatalf("answers differ at %s", id)
+	ja := rowJSON(t, GenerateMainColumnar(7, 50, 0, nil, Instrumentation{}).Cols)
+	jb := rowJSON(t, GenerateMainColumnar(7, 50, 0, nil, Instrumentation{}).Cols)
+	if !bytes.Equal(ja, jb) {
+		t.Fatal("generated cohort not deterministic")
+	}
+}
+
+// TestProfileHoldsNoPointers keeps Profile free of pointer-holding
+// fields: the labels live in paperdata and the columns, so a
+// million-profile slice gives the garbage collector nothing to scan.
+func TestProfileHoldsNoPointers(t *testing.T) {
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				f := ty.Field(i)
+				walk(path+"."+f.Name, f.Type)
+			}
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.String, reflect.Slice, reflect.Map, reflect.Pointer, reflect.UnsafePointer,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			t.Errorf("%s is a %s; Profile must hold no pointers", path, ty.Kind())
 		}
 	}
+	walk("Profile", reflect.TypeOf(Profile{}))
+}
+
+// TestForceTrainingUnknownLevelPanics pins that the index-based
+// override resolves its label when built: a level the instrument does
+// not offer panics there, not later inside a generation worker.
+func TestForceTrainingUnknownLevelPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ForceTraining accepted a level the instrument does not offer")
+		}
+	}()
+	ForceTraining("A doctorate in floating point")
 }
 
 func TestResponsesValidate(t *testing.T) {
 	ins := quiz.Instrument()
-	small := GenerateMain(3, 100)
-	if err := ins.ValidateDataset(small.Dataset); err != nil {
+	small := GenerateMainColumnar(3, 100, 0, nil, Instrumentation{}).Cols.ToSurvey()
+	if err := ins.ValidateDataset(small); err != nil {
 		t.Fatal(err)
 	}
-	students := GenerateStudents(4, 52)
+	students := GenerateStudentsColumnar(4, 52, 0, Instrumentation{}).ToSurvey()
 	if err := ins.ValidateDataset(students); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +115,7 @@ func TestResponsesValidate(t *testing.T) {
 
 func TestBackgroundMarginalsMatchPaper(t *testing.T) {
 	ins := quiz.Instrument()
-	tal, err := ins.Tally(testPop.Dataset, quiz.BGPosition)
+	tal, err := ins.Tally(testRows, quiz.BGPosition)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +127,7 @@ func TestBackgroundMarginalsMatchPaper(t *testing.T) {
 		}
 	}
 	// Multi-select: FP languages.
-	tal, _ = ins.Tally(testPop.Dataset, quiz.BGFPLanguages)
+	tal, _ = ins.Tally(testRows, quiz.BGFPLanguages)
 	for _, e := range paperdata.Figure6FPLanguages {
 		wantPct := paperdata.Percent(e, paperdata.NMain)
 		gotPct := 100 * float64(tal[e.Label]) / float64(testN)
@@ -80,7 +139,7 @@ func TestBackgroundMarginalsMatchPaper(t *testing.T) {
 
 func TestCoreScoreMatchesFigure12(t *testing.T) {
 	var sum quiz.Tally
-	for _, r := range testPop.Dataset.Responses {
+	for _, r := range testRows.Responses {
 		sum.Add(quiz.ScoreCore(r))
 	}
 	n := float64(testN)
@@ -106,7 +165,7 @@ func TestOptScoreMatchesFigure12(t *testing.T) {
 	// Figure 12's optimization row covers only the three T/F
 	// questions (Standard-compliant Level is excluded as not T/F).
 	var sum quiz.Tally
-	for _, r := range testPop.Dataset.Responses {
+	for _, r := range testRows.Responses {
 		sum.Add(quiz.ScoreOptScored(r))
 	}
 	n := float64(testN)
@@ -129,7 +188,7 @@ func TestPerQuestionBreakdownMatchesFigure14(t *testing.T) {
 	for i, q := range qs {
 		row := paperdata.Figure14Core[i]
 		var c, inc, dk int
-		for _, r := range testPop.Dataset.Responses {
+		for _, r := range testRows.Responses {
 			switch quiz.ClassifyCore(r, q) {
 			case quiz.OutcomeCorrect:
 				c++
@@ -155,7 +214,7 @@ func TestWrongMajorityQuestions(t *testing.T) {
 	for _, id := range []string{"core.identity", "core.divzero"} {
 		q, _ := quiz.CoreQuestionByID(id)
 		var c, inc int
-		for _, r := range testPop.Dataset.Responses {
+		for _, r := range testRows.Responses {
 			switch quiz.ClassifyCore(r, q) {
 			case quiz.OutcomeCorrect:
 				c++
@@ -181,11 +240,11 @@ func TestFactorEffectContribSize(t *testing.T) {
 	}
 	means := map[string]float64{}
 	counts := map[string]int{}
-	for i, r := range testPop.Dataset.Responses {
-		p := testPop.Profiles[i]
+	sizes := testLabels(quiz.BGContribSize)
+	for i, r := range testRows.Responses {
 		tl := quiz.ScoreCore(r)
-		means[p.ContribSize] += float64(tl.Correct)
-		counts[p.ContribSize]++
+		means[sizes[i]] += float64(tl.Correct)
+		counts[sizes[i]]++
 	}
 	for k := range means {
 		means[k] /= float64(counts[k])
@@ -207,10 +266,10 @@ func TestFactorEffectContribSize(t *testing.T) {
 
 func TestFactorEffectArea(t *testing.T) {
 	var csLike, physEng []float64
-	for i, r := range testPop.Dataset.Responses {
-		p := testPop.Profiles[i]
+	areas := testLabels(quiz.BGArea)
+	for i, r := range testRows.Responses {
 		score := float64(quiz.ScoreCore(r).Correct)
-		switch p.Area {
+		switch areas[i] {
 		case "Computer Science", "Computer Engineering", "Electrical Engineering":
 			csLike = append(csLike, score)
 		case "Other Physical Science Field", "Other Engineering Field":
@@ -229,10 +288,10 @@ func TestFactorEffectArea(t *testing.T) {
 
 func TestFactorEffectRoleOnOptQuiz(t *testing.T) {
 	var swe, support []float64
-	for i, r := range testPop.Dataset.Responses {
-		p := testPop.Profiles[i]
+	roles := testLabels(quiz.BGRole)
+	for i, r := range testRows.Responses {
 		score := float64(quiz.ScoreOpt(r).Correct)
-		switch p.Role {
+		switch roles[i] {
 		case "My main role is as a software engineer":
 			swe = append(swe, score)
 		case "I develop software to support my main role":
@@ -252,8 +311,8 @@ func TestSuspicionDistributions(t *testing.T) {
 		ds    *survey.Dataset
 		dists []paperdata.SuspicionDist
 	}{
-		{"main", testPop.Dataset, paperdata.Figure22Main},
-		{"students", GenerateStudents(5, 5000), paperdata.Figure22Student},
+		{"main", testRows, paperdata.Figure22Main},
+		{"students", GenerateStudentsColumnar(5, 5000, 0, Instrumentation{}).ToSurvey(), paperdata.Figure22Student},
 	} {
 		for i, it := range items {
 			var levels []int
@@ -278,7 +337,7 @@ func TestSuspicionOrdering(t *testing.T) {
 	// Invalid > Overflow > Underflow/Precision/Denorm in mean level.
 	mean := func(id string) float64 {
 		var levels []int
-		for _, r := range testPop.Dataset.Responses {
+		for _, r := range testRows.Responses {
 			if a := r.Answer(id); a.Level > 0 {
 				levels = append(levels, a.Level)
 			}
@@ -294,7 +353,7 @@ func TestSuspicionOrdering(t *testing.T) {
 	// About 1/3 of respondents under-rate Invalid (level < 5).
 	below := 0
 	total := 0
-	for _, r := range testPop.Dataset.Responses {
+	for _, r := range testRows.Responses {
 		if a := r.Answer("susp.invalid"); a.Level > 0 {
 			total++
 			if a.Level < 5 {
@@ -309,7 +368,7 @@ func TestSuspicionOrdering(t *testing.T) {
 }
 
 func TestStudentsLessSuspiciousOfUnderflowDenorm(t *testing.T) {
-	students := GenerateStudents(6, 5000)
+	students := GenerateStudentsColumnar(6, 5000, 0, Instrumentation{}).ToSurvey()
 	meanOf := func(ds *survey.Dataset, id string) float64 {
 		var levels []int
 		for _, r := range ds.Responses {
@@ -320,14 +379,16 @@ func TestStudentsLessSuspiciousOfUnderflowDenorm(t *testing.T) {
 		return stats.NewLikertDist(levels, 5).MeanLevel()
 	}
 	for _, id := range []string{"susp.underflow", "susp.denorm", "susp.overflow"} {
-		if meanOf(students, id) >= meanOf(testPop.Dataset, id) {
+		if meanOf(students, id) >= meanOf(testRows, id) {
 			t.Errorf("%s: students should be less suspicious", id)
 		}
 	}
 }
 
 func TestAbilityDistribution(t *testing.T) {
-	abilities := abilitiesOf(testPop.Profiles, false)
+	profiles := make([]Profile, testN)
+	drawProfileBlocks(0, 42, profiles, nil, nil)
+	abilities := abilitiesOf(profiles, false)
 	s := stats.Summarize(abilities)
 	if math.Abs(s.Mean) > 0.15 {
 		t.Errorf("ability mean %.3f, want ~0 (centered)", s.Mean)
@@ -342,10 +403,12 @@ func TestShortListsPredictLowerScores(t *testing.T) {
 	// a near-empty language list) score worse; what the list contains
 	// does not matter.
 	var short, normal []float64
-	for i, r := range testPop.Dataset.Responses {
-		p := testPop.Profiles[i]
+	d := testPop.Cols
+	informal := d.Schema.MustColumnIndex(quiz.BGInformal)
+	languages := d.Schema.MustColumnIndex(quiz.BGFPLanguages)
+	for i, r := range testRows.Responses {
 		score := float64(quiz.ScoreCore(r).Correct)
-		if p.InformalMask == 0 || bits.OnesCount64(p.FPLanguagesMask) <= 1 {
+		if d.MultiMask(informal, i) == 0 || bits.OnesCount64(d.MultiMask(languages, i)) <= 1 {
 			short = append(short, score)
 		} else {
 			normal = append(normal, score)
@@ -399,10 +462,11 @@ func TestGenerateTreatedColumnar(t *testing.T) {
 	}
 	const seed, n = 123, 1500
 	const level = "One or more courses"
+	bigSize := tables().contribSize.index(quiz.BGContribSize, ">1,000,000 lines of code")
 	overrides := []func(*Profile){
 		func(*Profile) {},
-		func(p *Profile) { p.FormalTraining = level },
-		func(p *Profile) { p.ContribSize = ">1,000,000 lines of code" },
+		ForceTraining(level),
+		func(p *Profile) { p.idx.contribSize = bigSize },
 	}
 	want := treatedCohorts(t, seed, n, 1, overrides)
 
@@ -465,7 +529,7 @@ func TestGenerateTreatedCalibratesOnce(t *testing.T) {
 	defer SetLatencyHook(nil)
 	overrides := make([]func(*Profile), 4)
 	for k := range overrides {
-		overrides[k] = func(p *Profile) { p.FormalTraining = "None" }
+		overrides[k] = ForceTraining("None")
 	}
 	visits := 0
 	errStop := errors.New("stop")
@@ -485,7 +549,7 @@ func TestGenerateTreatedCalibratesOnce(t *testing.T) {
 }
 
 func TestStudentDatasetShape(t *testing.T) {
-	ds := GenerateStudents(9, 52)
+	ds := GenerateStudentsColumnar(9, 52, 0, Instrumentation{}).ToSurvey()
 	if len(ds.Responses) != 52 {
 		t.Fatalf("%d students", len(ds.Responses))
 	}

@@ -20,10 +20,9 @@ import (
 // choiceTable is one single-choice background question: its paperdata
 // marginals resolved against the canonical schema. Entry k of every
 // slice describes the k-th table row, so a drawn entry index addresses
-// the label, the schema option code, and any per-entry effect directly.
+// the schema option code and any per-entry effect directly.
 type choiceTable struct {
 	ci      int
-	labels  []string
 	codes   []int32
 	cum     []int // cumulative counts; draw r in [0,total) → first k with r < cum[k]
 	total   int
@@ -38,7 +37,6 @@ func newChoiceTable(id string, entries []paperdata.CountEntry) choiceTable {
 	run := 0
 	for k, e := range entries {
 		run += e.N
-		t.labels = append(t.labels, e.Label)
 		t.codes = append(t.codes, col.MustOptionCode(e.Label))
 		t.cum = append(t.cum, run)
 		t.byLabel[e.Label] = int16(k)
@@ -58,7 +56,9 @@ func (t *choiceTable) draw(rng *parallel.XRand) int16 {
 	return int16(len(t.cum) - 1)
 }
 
-// index resolves a label to its entry index — the override slow path.
+// index resolves a label to its entry index, once per override built.
+// An unknown label panics: an override must force a level the
+// instrument actually offers.
 func (t *choiceTable) index(id, label string) int16 {
 	k, ok := t.byLabel[label]
 	if !ok {

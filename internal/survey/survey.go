@@ -295,77 +295,6 @@ func WriteDataset(w io.Writer, d *Dataset) error {
 	return bw.Flush()
 }
 
-// DecodeError reports where in a malformed dataset decoding failed.
-// Respondent is the zero-based index of the first offending response
-// (-1 when the failure is outside the responses array) and Question the
-// offending question ID when the failure is inside one answer.
-type DecodeError struct {
-	Respondent int
-	Question   string
-	Err        error
-}
-
-func (e *DecodeError) Error() string {
-	switch {
-	case e.Respondent < 0:
-		return fmt.Sprintf("survey: decode dataset: %v", e.Err)
-	case e.Question == "":
-		return fmt.Sprintf("survey: decode dataset: response %d: %v", e.Respondent, e.Err)
-	}
-	return fmt.Sprintf("survey: decode dataset: response %d: question %q: %v", e.Respondent, e.Question, e.Err)
-}
-
-func (e *DecodeError) Unwrap() error { return e.Err }
-
-// DecodeDataset parses a dataset. Malformed input yields a *DecodeError
-// locating the first offending respondent (and question, when the
-// damage is inside one answer) rather than a bare position-in-bytes
-// JSON error.
-func DecodeDataset(data []byte) (*Dataset, error) {
-	var d Dataset
-	err := json.Unmarshal(data, &d)
-	if err == nil {
-		return &d, nil
-	}
-	return nil, diagnoseDecode(data, err)
-}
-
-// diagnoseDecode re-parses a dataset that failed to unmarshal, in
-// coarse-to-fine passes, to attribute the failure to a respondent and
-// question. The original error is always preserved as the cause; this
-// only adds location.
-func diagnoseDecode(data []byte, cause error) error {
-	var shell struct {
-		Responses []json.RawMessage `json:"responses"`
-	}
-	if json.Unmarshal(data, &shell) != nil {
-		// The document structure itself (or a field outside the
-		// responses) is broken; there is no respondent to blame.
-		return &DecodeError{Respondent: -1, Err: cause}
-	}
-	for i, raw := range shell.Responses {
-		var row struct {
-			Token   string                     `json:"token"`
-			Answers map[string]json.RawMessage `json:"answers"`
-		}
-		if err := json.Unmarshal(raw, &row); err != nil {
-			return &DecodeError{Respondent: i, Err: err}
-		}
-		ids := make([]string, 0, len(row.Answers))
-		for id := range row.Answers {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			var a Answer
-			if err := json.Unmarshal(row.Answers[id], &a); err != nil {
-				return &DecodeError{Respondent: i, Question: id, Err: err}
-			}
-		}
-	}
-	return &DecodeError{Respondent: -1, Err: cause}
-}
-
 // FlattenCSV renders the dataset as a flat CSV matrix: one row per
 // response, one column per question (multi-choice answers joined with
 // ';', Likert answers as numbers). The header row carries question IDs.

@@ -11,6 +11,16 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+# Every tracked Go file, the nested perfbench module included, must be
+# gofmt-clean.
+echo "==> gofmt -l"
+unformatted=$(git ls-files '*.go' | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt would reformat:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 # perfbench is a nested module (the repository benchmark), so the root
 # ./... patterns skip it. Building and vetting it here catches a change
 # to the exported API it uses before the benchmark itself breaks. The
