@@ -195,9 +195,11 @@ func BenchmarkStudyPipelineTelemetry(b *testing.B) {
 // BenchmarkStudyPipelineLatency pins the latency observatory's overhead
 // budget by name: the full telemetry stack (which wires the sharded
 // latency histograms into sampling, calibration, grading, and the
-// worker pool) at n=10000, with a post-run assertion that the
-// histograms actually observed every instrumented pipeline stage — so
-// the number cannot go green by the hooks silently not firing.
+// worker pool) at n=10000, with an assertion after each sub-benchmark's
+// timed loop that the histograms observed every instrumented pipeline
+// stage — so the number cannot go green by the hooks silently not
+// firing, and a -bench filter that runs none of the sub-benchmarks
+// asserts nothing.
 // Comparing against BenchmarkStudyPipeline/n=10000 must stay <5%.
 func BenchmarkStudyPipelineLatency(b *testing.B) {
 	const n = 10000
@@ -220,16 +222,16 @@ func BenchmarkStudyPipelineLatency(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "respondents/s")
+			snap := reg.Snapshot()
+			for _, name := range []string{
+				core.LatencySampleBlock, core.LatencyCalibrate, core.LatencyGradeBatch,
+				core.LatencyParallelShard, core.LatencyWorkerBusy, core.LatencyParallelWait,
+			} {
+				if ls, ok := snap.Latencies[name]; !ok || ls.Count == 0 {
+					b.Fatalf("%s: latency observatory recorded nothing during the benchmark", name)
+				}
+			}
 		})
-	}
-	snap := reg.Snapshot()
-	for _, name := range []string{
-		core.LatencySampleBlock, core.LatencyCalibrate, core.LatencyGradeBatch,
-		core.LatencyParallelShard, core.LatencyWorkerBusy, core.LatencyParallelWait,
-	} {
-		if ls, ok := snap.Latencies[name]; !ok || ls.Count == 0 {
-			b.Fatalf("%s: latency observatory recorded nothing during the benchmark", name)
-		}
 	}
 }
 
@@ -262,10 +264,10 @@ func BenchmarkStudyPipelineTrace(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "respondents/s")
+			if tracer.Recorded() == 0 {
+				b.Fatal("tracer recorded no events during the traced benchmark")
+			}
 		})
-	}
-	if tracer.Recorded() == 0 {
-		b.Fatal("tracer recorded no events during the traced benchmark")
 	}
 }
 

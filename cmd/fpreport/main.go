@@ -23,6 +23,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -38,14 +39,29 @@ import (
 	"fpstudy/internal/telemetry"
 )
 
+// out buffers standard output; finish flushes it, so that a failed
+// write (a full disk, a closed pipe) ends the run with exit status 1
+// instead of a silent 0.
+var out = bufio.NewWriter(os.Stdout)
+
 // ledger is this invocation's run-ledger record (nil when -runlog is
-// unset); exit routes every termination through it so the appended
-// record carries the real exit status.
+// unset); every termination goes through finish so the appended record
+// carries the real exit status.
 var ledger *runlog.Run
 
-func exit(code int) {
+// finish flushes standard output and records the run in the ledger. It
+// returns code, or 1 when the output could not be written.
+func finish(code int) int {
+	if err := out.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, "fpreport: writing output:", err)
+		code = 1
+	}
 	ledger.Finish(code)
-	os.Exit(code)
+	return code
+}
+
+func exit(code int) {
+	os.Exit(finish(code))
 }
 
 func main() {
@@ -99,7 +115,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, "fpreport:", err)
 			exit(1)
 		}
-		ledger.Finish(0)
+		if finish(0) != 0 {
+			os.Exit(1)
+		}
 		return
 	}
 	var results *core.Results
@@ -133,26 +151,26 @@ func main() {
 		t := results.Figure(num)
 		switch {
 		case *csv:
-			fmt.Print(t.CSV())
+			fmt.Fprint(out, t.CSV())
 		case *markdown:
-			fmt.Println(t.Markdown())
+			fmt.Fprintln(out, t.Markdown())
 		default:
-			fmt.Println(t.String())
+			fmt.Fprintln(out, t.String())
 		}
 	}
 
 	switch {
 	case *calibration:
-		fmt.Println(results.CalibrationReport().String())
+		fmt.Fprintln(out, results.CalibrationReport().String())
 	case *association:
-		fmt.Println(results.FactorAssociation().String())
+		fmt.Fprintln(out, results.FactorAssociation().String())
 	case *items:
-		fmt.Println(results.ItemAnalysis().String())
+		fmt.Fprintln(out, results.ItemAnalysis().String())
 	case *intervention:
-		fmt.Println(results.InterventionReport().String())
+		fmt.Fprintln(out, results.InterventionReport().String())
 	case *confidence:
-		fmt.Println(results.ConfidenceReport().String())
-		fmt.Printf("overconfidence index: %+.3f; optimization humility: %.2f\n",
+		fmt.Fprintln(out, results.ConfidenceReport().String())
+		fmt.Fprintf(out, "overconfidence index: %+.3f; optimization humility: %.2f\n",
 			results.OverconfidenceIndex(), results.OptHumilityIndex())
 	case *fig != 0:
 		if *fig < 1 || *fig > 22 {
@@ -173,7 +191,10 @@ func main() {
 		emit(13)
 		printClaims(results)
 	}
-	ledger.Finish(0)
+	// A plain return, not exit, so the deferred telemetry shutdown runs.
+	if finish(0) != 0 {
+		os.Exit(1)
+	}
 }
 
 // runQuery executes one ad-hoc expression through the vectorized
@@ -226,7 +247,7 @@ func runQuery(study core.Study, dataPath, expr string) error {
 		return err
 	}
 	elapsed := time.Since(start)
-	fmt.Print(p.Render(res))
+	fmt.Fprint(out, p.Render(res))
 	fmt.Fprintf(os.Stderr, "fpreport: scanned %d respondents, selected %d, %.3fs (%.1fM respondents/s)\n",
 		src.Len(), res.TotalCount(), elapsed.Seconds(),
 		float64(src.Len())/elapsed.Seconds()/1e6)
@@ -264,8 +285,8 @@ func resultsFromFiles(study core.Study, reg *telemetry.Registry, dataPath, stude
 }
 
 func printClaims(results *core.Results) {
-	fmt.Println("Headline claims (Section IV)")
-	fmt.Println("============================")
+	fmt.Fprintln(out, "Headline claims (Section IV)")
+	fmt.Fprintln(out, "============================")
 	ok := true
 	for _, c := range results.HeadlineClaims() {
 		status := "PASS"
@@ -273,7 +294,7 @@ func printClaims(results *core.Results) {
 			status = "FAIL"
 			ok = false
 		}
-		fmt.Printf("  [%s] %-34s %s\n", status, c.Name, c.Detail)
+		fmt.Fprintf(out, "  [%s] %-34s %s\n", status, c.Name, c.Detail)
 	}
 	if !ok {
 		exit(1)

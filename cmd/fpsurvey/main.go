@@ -25,6 +25,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -38,21 +39,35 @@ import (
 
 var workers = flag.Int("workers", 0, "worker goroutines for codec/view fan-out (<=0 means GOMAXPROCS)")
 
+// out buffers standard output; finish flushes it, so that a failed
+// write (a full disk, a closed pipe) ends the run with exit status 1
+// instead of a silent 0.
+var out = bufio.NewWriter(os.Stdout)
+
 // ledger is this invocation's run-ledger record (nil when -runlog is
-// unset); exit routes every termination through it so the appended
-// record carries the real exit status.
+// unset); every termination goes through finish so the appended record
+// carries the real exit status.
 var ledger *runlog.Run
 
-func exit(code int) {
+// finish flushes standard output and records the run in the ledger. It
+// returns code, or 1 when the output could not be written.
+func finish(code int) int {
+	if err := out.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, "fpsurvey: writing output:", err)
+		code = 1
+	}
 	ledger.Finish(code)
-	os.Exit(code)
+	return code
+}
+
+func exit(code int) {
+	os.Exit(finish(code))
 }
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "slice" {
 		slice(os.Args[2:])
-		ledger.Finish(0)
-		return
+		exit(0)
 	}
 	instrument := flag.Bool("instrument", false, "print the survey instrument JSON")
 	text := flag.Bool("text", false, "print the participant-facing survey text")
@@ -68,22 +83,22 @@ func main() {
 
 	switch {
 	case *text:
-		fmt.Print(ins.RenderText())
+		fmt.Fprint(out, ins.RenderText())
 
 	case *instrument:
 		data, err := survey.EncodeInstrument(ins)
 		if err != nil {
 			fatal(err)
 		}
-		os.Stdout.Write(data)
-		fmt.Println()
+		out.Write(data)
+		fmt.Fprintln(out)
 
 	case *validate != "":
 		cols, _ := load(*validate)
 		if err := ins.ValidateDataset(rows(cols)); err != nil {
 			fatal(err)
 		}
-		fmt.Printf("fpsurvey: %s: %d responses, all valid\n", *validate, cols.Len())
+		fmt.Fprintf(out, "fpsurvey: %s: %d responses, all valid\n", *validate, cols.Len())
 
 	case *tally != "":
 		if flag.NArg() < 1 {
@@ -96,12 +111,12 @@ func main() {
 		}
 		total := cols.Len()
 		for _, k := range survey.SortedKeys(t) {
-			fmt.Printf("%-60s %4d  %5.1f%%\n", k, t[k], 100*float64(t[k])/float64(total))
+			fmt.Fprintf(out, "%-60s %4d  %5.1f%%\n", k, t[k], 100*float64(t[k])/float64(total))
 		}
 
 	case *csv != "":
 		cols, _ := load(*csv)
-		fmt.Print(ins.FlattenCSV(rows(cols)))
+		fmt.Fprint(out, ins.FlattenCSV(rows(cols)))
 
 	case *anonymize != "":
 		cols, info := load(*anonymize)
@@ -122,13 +137,13 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		fmt.Printf("fpsurvey: anonymized %d responses in %s\n", cols.Len(), *anonymize)
+		fmt.Fprintf(out, "fpsurvey: anonymized %d responses in %s\n", cols.Len(), *anonymize)
 
 	default:
 		flag.Usage()
 		exit(2)
 	}
-	ledger.Finish(0)
+	exit(0)
 }
 
 // slice runs one query expression over a dataset file. Binary shards
@@ -182,7 +197,7 @@ func slice(args []string) {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Print(p.Render(res))
+	fmt.Fprint(out, p.Render(res))
 }
 
 // load streams a dataset file into columns, sniffing the format, and

@@ -1,3 +1,8 @@
+// Package benchcmp detects drift in a series of benchmark measurements.
+// The rest of the old bench-report stack (report parsing, band diffs,
+// the BENCH_history.jsonl trajectory) is gone; perfbench and
+// scripts/bench_ab.sh judge regressions now. Nothing imports this
+// package yet.
 package benchcmp
 
 import (
@@ -6,7 +11,7 @@ import (
 )
 
 // Robust drift detection over benchmark trajectories. A metric series
-// (one value per BENCH_history.jsonl line or ledger record) is
+// (one value per perfbench record or run-ledger record) is
 // summarized by its median and MAD (median absolute deviation): both
 // are order statistics, so a few wild outliers — exactly what host
 // noise produces — cannot drag the band the way a mean/stddev band

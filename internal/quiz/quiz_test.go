@@ -1,6 +1,7 @@
 package quiz
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -129,8 +130,11 @@ func TestInstrumentJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := survey.DecodeInstrument(data)
-	if err != nil {
+	var back survey.Instrument
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if len(back.Questions()) != len(ins.Questions()) {

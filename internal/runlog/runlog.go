@@ -1,13 +1,9 @@
 // Package runlog is the structured run ledger of the pipeline CLIs:
-// every invocation of fpgen, fpreport, fpsurvey, and fpbench appends
-// one JSONL record — command and arguments, host fingerprint, VCS
-// revision, wall and per-stage durations, latency quantiles, key
-// counters, golden hashes when computed, and exit status — to a
-// configurable ledger file. The ledger is what turns the perf gates
-// from "exit 1" into evidence: `fpstat trend` reads it (plus
-// BENCH_history.jsonl) to separate genuine drift from host noise, and
-// `fpstat diff` / the fpbench forensics report attribute a regression
-// to the stage that lost the time.
+// every invocation of fpgen, fpreport and fpsurvey appends one JSONL
+// record — command and arguments, host fingerprint, VCS revision, wall
+// and per-stage durations, latency quantiles, key counters, golden
+// hashes when computed, and exit status — to a configurable ledger
+// file, so a slow or failed run leaves evidence of where its time went.
 //
 // # Determinism contract
 //
@@ -20,11 +16,10 @@
 // # File format
 //
 // One JSON object per line, append-only (O_APPEND, so concurrent
-// writers interleave whole lines — the same contract as
-// BENCH_history.jsonl). Readers must tolerate a truncated final line:
-// a crashed writer may leave one, and a ledger is too valuable to
-// abandon over its last record. Read skips unparsable lines and
-// reports how many it skipped.
+// writers interleave whole lines). Readers must tolerate a truncated
+// final line: a crashed writer may leave one, and a ledger is too
+// valuable to abandon over its last record. Read skips unparsable
+// lines and reports how many it skipped.
 package runlog
 
 import (
@@ -51,9 +46,8 @@ import (
 const Schema = 1
 
 // Host is the machine fingerprint stamped on every record, matching
-// the fields of the run manifest and the benchcmp report host (same
-// JSON names), so ledger records, manifests, and bench reports agree
-// on provenance.
+// the fields of the run manifest (same JSON names), so ledger records
+// and manifests agree on provenance.
 type Host struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
@@ -61,7 +55,7 @@ type Host struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	GoVersion  string `json:"go_version"`
 	// SerialHost tags records taken with GOMAXPROCS=1, where every
-	// worker count degenerates to a serial run (see benchcmp.Host).
+	// worker count degenerates to a serial run.
 	SerialHost bool `json:"serial_host,omitempty"`
 }
 
@@ -92,8 +86,8 @@ func (h Host) Key() string {
 // Stage is one flattened span-tree node: Name is the slash-joined
 // path from the root ("generate-main/draw-profiles"), Seconds its
 // wall duration, SelfSeconds the duration not covered by children
-// (what attribution ranks — see benchcmp.AttributeSpans), Items the
-// processed-item count.
+// (where the stage itself spent the time), Items the processed-item
+// count.
 type Stage struct {
 	Name        string  `json:"name"`
 	Seconds     float64 `json:"seconds"`
@@ -101,8 +95,7 @@ type Stage struct {
 	Items       int64   `json:"items,omitempty"`
 }
 
-// StageLatency is the quantile summary of one latency histogram, the
-// compact ledger twin of benchcmp.StageLatency (same JSON names).
+// StageLatency is the quantile summary of one latency histogram.
 type StageLatency struct {
 	Stage  string  `json:"stage"`
 	Count  int64   `json:"count"`

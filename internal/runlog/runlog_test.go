@@ -54,7 +54,7 @@ func TestReadTolerance(t *testing.T) {
 		"\n" + // blank
 		"not json at all\n" +
 		good + "\n" +
-		`{"schema":1,"tool":"fpbench","timestamp":"2026-0` // truncated mid-record, no newline
+		`{"schema":1,"tool":"fpgen","timestamp":"2026-0` // truncated mid-record, no newline
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}

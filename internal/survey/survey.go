@@ -234,18 +234,6 @@ func EncodeInstrument(ins *Instrument) ([]byte, error) {
 	return json.MarshalIndent(ins, "", "  ")
 }
 
-// DecodeInstrument parses an instrument and validates it.
-func DecodeInstrument(data []byte) (*Instrument, error) {
-	var ins Instrument
-	if err := json.Unmarshal(data, &ins); err != nil {
-		return nil, fmt.Errorf("survey: decode instrument: %w", err)
-	}
-	if err := ins.Validate(); err != nil {
-		return nil, err
-	}
-	return &ins, nil
-}
-
 // EncodeDataset renders a dataset as indented JSON.
 func EncodeDataset(d *Dataset) ([]byte, error) {
 	return json.MarshalIndent(d, "", "  ")

@@ -119,19 +119,22 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeInstrument(data)
-	if err != nil {
+	var back Instrument
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatal(err)
+	}
+	if err := back.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if back.Title != ins.Title || len(back.Questions()) != 4 {
 		t.Fatal("instrument round trip")
 	}
-	// Invalid instruments fail decode.
-	if _, err := DecodeInstrument([]byte(`{"title":""}`)); err == nil {
-		t.Fatal("empty instrument decoded")
-	}
-	if _, err := DecodeInstrument([]byte(`{bad json`)); err == nil {
-		t.Fatal("bad json decoded")
+	// Invalid instruments fail to decode or to validate.
+	for _, bad := range []string{`{"title":""}`, `{bad json`} {
+		var ins Instrument
+		if err := json.Unmarshal([]byte(bad), &ins); err == nil && ins.Validate() == nil {
+			t.Fatalf("instrument %s accepted", bad)
+		}
 	}
 
 	d := &Dataset{Instrument: "Sample", Responses: []Response{

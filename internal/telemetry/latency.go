@@ -153,7 +153,7 @@ type LatencyBucket struct {
 	Count   int64 `json:"count"`
 }
 
-// LatencySnapshot is the mergeable, JSON-ready view of a LatencyHist:
+// LatencySnapshot is the JSON-ready view of a LatencyHist:
 // sparse non-empty buckets plus precomputed quantiles. Count always
 // equals the sum of the bucket counts (both derive from the same
 // per-bucket reads); SumNS may trail concurrent writers slightly.
@@ -239,56 +239,4 @@ func (s *LatencySnapshot) Quantile(q float64) float64 {
 	}
 	last := s.Buckets[len(s.Buckets)-1]
 	return float64(latBucketUpper(last.Index))
-}
-
-// Merge adds other's buckets into s (for combining snapshots from
-// multiple histograms or processes) and refreshes the quantiles.
-func (s *LatencySnapshot) Merge(other LatencySnapshot) {
-	s.addScaled(other, 1)
-}
-
-// Sub returns s minus prev, for turning two cumulative snapshots of
-// the same histogram into an interval view (e.g. one benchmark rep).
-// Counts are monotonic per bucket, so the delta is itself a valid
-// snapshot with fresh quantiles.
-func (s LatencySnapshot) Sub(prev LatencySnapshot) LatencySnapshot {
-	d := LatencySnapshot{}
-	d.Buckets = append(d.Buckets, s.Buckets...)
-	d.Count = s.Count
-	d.SumNS = s.SumNS
-	d.addScaled(prev, -1)
-	return d
-}
-
-// addScaled merges other's buckets scaled by sign (+1 merge, -1
-// subtract), drops empty buckets, and refreshes quantiles.
-func (s *LatencySnapshot) addScaled(other LatencySnapshot, sign int64) {
-	dense := map[int]int64{}
-	for _, b := range s.Buckets {
-		dense[b.Index] += b.Count
-	}
-	for _, b := range other.Buckets {
-		dense[b.Index] += sign * b.Count
-	}
-	// Fresh slice: snapshots are copied by value, so the old backing
-	// array may be shared with the caller's copy.
-	merged := make([]LatencyBucket, 0, len(dense))
-	s.Count = 0
-	for i := 0; i < latBuckets; i++ {
-		c := dense[i]
-		if c == 0 {
-			continue
-		}
-		if c < 0 {
-			c = 0 // defensive: mismatched snapshots never go negative
-		}
-		s.Count += c
-		merged = append(merged, LatencyBucket{Index: i, UpperNS: latBucketUpper(i), Count: c})
-	}
-	s.Buckets = merged
-	s.SumNS += sign * other.SumNS
-	if s.SumNS < 0 {
-		s.SumNS = 0
-	}
-	s.fillQuantiles()
 }

@@ -77,47 +77,6 @@ func TestLatencyQuantiles(t *testing.T) {
 	}
 }
 
-// TestLatencySnapshotSubMerge: two cumulative snapshots of one
-// histogram subtract into the interval between them, and merging the
-// delta back reproduces the later snapshot.
-func TestLatencySnapshotSubMerge(t *testing.T) {
-	l := newLatencyHist()
-	for i := 0; i < 1000; i++ {
-		l.Observe(time.Duration(100+i) * time.Nanosecond)
-	}
-	before := l.Snapshot()
-	for i := 0; i < 500; i++ {
-		l.Observe(time.Duration(1_000_000+i) * time.Nanosecond)
-	}
-	after := l.Snapshot()
-
-	delta := after.Sub(before)
-	if delta.Count != 500 {
-		t.Fatalf("delta count = %d, want 500", delta.Count)
-	}
-	if delta.P50NS < 900_000 || delta.P50NS > 1_100_000 {
-		t.Errorf("delta p50 = %.0f ns, want ≈1ms (the interval's observations only)", delta.P50NS)
-	}
-	if got, want := delta.SumNS, after.SumNS-before.SumNS; got != want {
-		t.Errorf("delta sum = %d, want %d", got, want)
-	}
-
-	rebuilt := before
-	rebuilt.Merge(delta)
-	if rebuilt.Count != after.Count || rebuilt.SumNS != after.SumNS {
-		t.Errorf("merge(before, delta) = count %d sum %d, want %d/%d",
-			rebuilt.Count, rebuilt.SumNS, after.Count, after.SumNS)
-	}
-	if len(rebuilt.Buckets) != len(after.Buckets) {
-		t.Fatalf("merged buckets = %d, want %d", len(rebuilt.Buckets), len(after.Buckets))
-	}
-	for i, b := range rebuilt.Buckets {
-		if b != after.Buckets[i] {
-			t.Errorf("merged bucket %d = %+v, want %+v", i, b, after.Buckets[i])
-		}
-	}
-}
-
 // TestLatencyConcurrent hammers all shards from concurrent writers
 // while snapshots run: every snapshot must be internally consistent
 // (buckets sum to count), and the final count must be exact.

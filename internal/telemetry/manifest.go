@@ -25,9 +25,9 @@ type Manifest struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
 	// SerialHost tags runs taken with GOMAXPROCS==1, matching the
-	// benchcmp host fingerprint so manifests and bench reports agree
-	// on provenance (parallel numbers from such a host are not
-	// comparable to multi-core ones).
+	// run-ledger host fingerprint (runlog.Host) so manifests and ledger
+	// records agree on provenance (parallel numbers from such a host
+	// are not comparable to multi-core ones).
 	SerialHost bool `json:"serial_host,omitempty"`
 
 	Spans   []SpanSnapshot `json:"spans,omitempty"`

@@ -21,6 +21,13 @@ if [ -n "$unformatted" ]; then
 	exit 1
 fi
 
+# Every tracked shell script must parse, so that a script the suite
+# never runs (scripts/bench_ab.sh takes minutes) cannot rot unnoticed.
+echo "==> bash -n"
+for script in $(git ls-files '*.sh'); do
+	bash -n "$script"
+done
+
 # perfbench is a nested module (the repository benchmark), so the root
 # ./... patterns skip it. Building and vetting it here catches a change
 # to the exported API it uses before the benchmark itself breaks. The
@@ -64,40 +71,6 @@ fi
 if [ "${CHECK_QUERY_SMOKE:-0}" = "1" ]; then
 	echo "==> make query-smoke"
 	make query-smoke
-fi
-
-# Optional SLO smoke gate: CHECK_SLO_SMOKE=1 runs a small fpbench with
-# -telemetry, scrapes /metrics mid-run, validates the Prometheus
-# exposition, and asserts the report's per-stage latency quantiles
-# (make slo-smoke). Off by default — the same exposition and quantile
-# logic is unit-tested in internal/telemetry; this stage additionally
-# exercises the real HTTP surface and the built binary.
-if [ "${CHECK_SLO_SMOKE:-0}" = "1" ]; then
-	echo "==> make slo-smoke"
-	make slo-smoke
-fi
-
-# Optional perf-forensics smoke gate: CHECK_STAT_SMOKE=1 drives the
-# observatory end to end with real binaries: ledger records from fpgen
-# and fpbench, a seeded grade-stage regression attributed by fpstat
-# diff, a red compare gate leaving pprof profiles and a forensics
-# report, and fpstat trend over truncated history/ledger files (make
-# stat-smoke). Off by default — the attribution and drift statistics
-# are unit-tested in internal/benchcmp and cmd/fpstat; this stage
-# additionally exercises the built binaries and the on-disk artifacts.
-if [ "${CHECK_STAT_SMOKE:-0}" = "1" ]; then
-	echo "==> make stat-smoke"
-	make stat-smoke
-fi
-
-# Optional perf-regression gate: CHECK_BENCH_GATE=1 re-times the
-# pipeline (n=199 and n=10000) and compares against the committed
-# BENCH_pipeline.json with fpbench compare, failing on regressions
-# beyond the noise bands. Off by default — it takes a few minutes and
-# only means something on a quiet machine.
-if [ "${CHECK_BENCH_GATE:-0}" = "1" ]; then
-	echo "==> make bench-gate"
-	make bench-gate
 fi
 
 echo "==> all checks passed"
