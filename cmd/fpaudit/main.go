@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -19,6 +20,7 @@ import (
 	"strings"
 
 	"fpstudy/internal/audit"
+	"fpstudy/internal/cliout"
 	"fpstudy/internal/expr"
 	"fpstudy/internal/ieee754"
 )
@@ -39,18 +41,25 @@ func (v varFlags) Set(s string) error {
 	return nil
 }
 
+// out buffers standard output; exit flushes it (see cliout).
+var out = bufio.NewWriter(os.Stdout)
+
+func exit(code int) {
+	os.Exit(cliout.Flush("fpaudit", out, code))
+}
+
 func main() {
 	vars := varFlags{}
 	flag.Var(vars, "var", "bind a variable, e.g. -var a=1.5 (repeatable)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: fpaudit [-var name=value]... '<expression>'")
-		os.Exit(2)
+		exit(2)
 	}
 	n, err := expr.Parse(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fpaudit:", err)
-		os.Exit(1)
+		exit(1)
 	}
 	var e ieee754.Env
 	bound := map[string]uint64{}
@@ -58,9 +67,10 @@ func main() {
 		bound[k] = ieee754.Binary64.FromFloat64(&e, v)
 	}
 	rep := audit.Run(n, bound)
-	fmt.Print(rep.String())
-	fmt.Printf("suspicion (1-5): %d\n", rep.SuspicionScore())
+	fmt.Fprint(out, rep.String())
+	fmt.Fprintf(out, "suspicion (1-5): %d\n", rep.SuspicionScore())
 	if rep.Verdict == audit.Alarm {
-		os.Exit(1)
+		exit(1)
 	}
+	exit(0)
 }

@@ -12,12 +12,14 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
+	"fpstudy/internal/cliout"
 	"fpstudy/internal/expr"
 	"fpstudy/internal/ieee754"
 	"fpstudy/internal/lint"
@@ -41,6 +43,13 @@ func (v varFlags) Set(s string) error {
 	return nil
 }
 
+// out buffers standard output; exit flushes it (see cliout).
+var out = bufio.NewWriter(os.Stdout)
+
+func exit(code int) {
+	os.Exit(cliout.Flush("fpexpr", out, code))
+}
+
 func main() {
 	vars := varFlags{}
 	flag.Var(vars, "var", "bind a variable, e.g. -var a=1.5 (repeatable)")
@@ -48,13 +57,13 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: fpexpr [-var name=value]... [-format f] '<expression>'")
-		os.Exit(2)
+		exit(2)
 	}
 	src := flag.Arg(0)
 	n, err := expr.Parse(src)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fpexpr:", err)
-		os.Exit(1)
+		exit(1)
 	}
 
 	formats := map[string]ieee754.Format{
@@ -66,7 +75,7 @@ func main() {
 	f, ok := formats[*formatName]
 	if !ok {
 		fmt.Fprintln(os.Stderr, "fpexpr: unknown format", *formatName)
-		os.Exit(2)
+		exit(2)
 	}
 
 	bind := func(g ieee754.Format) expr.Env {
@@ -81,31 +90,31 @@ func main() {
 	// Primary evaluation.
 	var fe ieee754.Env
 	res := expr.Eval(f, &fe, n, bind(f))
-	fmt.Printf("expression: %s\n", n.String())
-	fmt.Printf("format:     %s\n", f.Name)
-	fmt.Printf("value:      %s\n", f.String(res))
-	fmt.Printf("exact form: %s\n", f.Hex(res))
-	fmt.Printf("encoding:   %s\n", f.BitString(res))
-	fmt.Printf("flags:      %s\n", fe.Flags)
+	fmt.Fprintf(out, "expression: %s\n", n.String())
+	fmt.Fprintf(out, "format:     %s\n", f.Name)
+	fmt.Fprintf(out, "value:      %s\n", f.String(res))
+	fmt.Fprintf(out, "exact form: %s\n", f.Hex(res))
+	fmt.Fprintf(out, "encoding:   %s\n", f.BitString(res))
+	fmt.Fprintf(out, "flags:      %s\n", fe.Flags)
 
 	// Every format side by side.
-	fmt.Println("\nacross formats:")
+	fmt.Fprintln(out, "\nacross formats:")
 	for _, name := range []string{"binary16", "bfloat16", "binary32", "binary64"} {
 		g := formats[name]
 		var ge ieee754.Env
 		r := expr.Eval(g, &ge, n, bind(g))
-		fmt.Printf("  %-9s %-24s flags: %s\n", g.Name, g.String(r), ge.Flags)
+		fmt.Fprintf(out, "  %-9s %-24s flags: %s\n", g.Name, g.String(r), ge.Flags)
 	}
 
 	// Rounding modes.
-	fmt.Println("\nacross rounding modes:")
+	fmt.Fprintln(out, "\nacross rounding modes:")
 	for _, m := range []ieee754.RoundingMode{
 		ieee754.NearestEven, ieee754.NearestAway, ieee754.TowardZero,
 		ieee754.TowardPositive, ieee754.TowardNegative,
 	} {
 		ge := ieee754.Env{Rounding: m}
 		r := expr.Eval(f, &ge, n, bind(f))
-		fmt.Printf("  %-22s %s\n", m, f.Hex(r))
+		fmt.Fprintf(out, "  %-22s %s\n", m, f.Hex(r))
 	}
 
 	// Fast-math.
@@ -113,19 +122,19 @@ func main() {
 	opt, passes := cfg.Optimize(n)
 	oe := cfg.EnvFor()
 	optRes := expr.Eval(f, oe, opt, bind(f))
-	fmt.Println("\nunder -ffast-math:")
-	fmt.Printf("  rewritten:  %s (passes: %v)\n", opt.String(), passes)
-	fmt.Printf("  value:      %s", f.String(optRes))
+	fmt.Fprintln(out, "\nunder -ffast-math:")
+	fmt.Fprintf(out, "  rewritten:  %s (passes: %v)\n", opt.String(), passes)
+	fmt.Fprintf(out, "  value:      %s", f.String(optRes))
 	if optRes != res && !(f.IsNaN(optRes) && f.IsNaN(res)) {
-		fmt.Printf("   <-- DIFFERS from strict IEEE")
+		fmt.Fprintf(out, "   <-- DIFFERS from strict IEEE")
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 
 	// Static hazards.
 	if findings := lint.CheckExpr(n); len(findings) > 0 {
-		fmt.Println("\nstatic analysis:")
+		fmt.Fprintln(out, "\nstatic analysis:")
 		for _, fd := range findings {
-			fmt.Printf("  %s\n", fd)
+			fmt.Fprintf(out, "  %s\n", fd)
 		}
 	}
 
@@ -136,6 +145,7 @@ func main() {
 		vm[k] = mpfloat.FromFloat64(v)
 	}
 	shadow := ctx.EvalExpr(n, vm)
-	fmt.Println("\n200-bit shadow:")
-	fmt.Printf("  value:      %s\n", shadow.DecimalString(40))
+	fmt.Fprintln(out, "\n200-bit shadow:")
+	fmt.Fprintf(out, "  value:      %s\n", shadow.DecimalString(40))
+	exit(0)
 }

@@ -15,6 +15,7 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -22,11 +23,19 @@ import (
 	"strings"
 	"time"
 
+	"fpstudy/internal/cliout"
 	"fpstudy/internal/ieee754"
 	"fpstudy/internal/kernels"
 	"fpstudy/internal/monitor"
 	"fpstudy/internal/telemetry"
 )
+
+// out buffers standard output; exit flushes it (see cliout).
+var out = bufio.NewWriter(os.Stdout)
+
+func exit(code int) {
+	os.Exit(cliout.Flush("fpmonitor", out, code))
+}
 
 func main() {
 	list := flag.Bool("list", false, "list kernels and exit")
@@ -39,9 +48,9 @@ func main() {
 	suite := kernels.All()
 	if *list {
 		for _, k := range suite {
-			fmt.Printf("%-18s %s\n", k.Name, k.Description)
+			fmt.Fprintf(out, "%-18s %s\n", k.Name, k.Description)
 		}
-		return
+		exit(0)
 	}
 
 	// The kernel audits are observable like the pipeline tools: one
@@ -58,7 +67,7 @@ func main() {
 		srv, err := telemetry.Serve(*telemetryAddr)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "fpmonitor:", err)
-			os.Exit(1)
+			exit(1)
 		}
 		// Graceful shutdown releases the port at exit but lets an
 		// in-flight scrape finish (bounded).
@@ -80,7 +89,7 @@ func main() {
 		f = ieee754.Binary64
 	default:
 		fmt.Fprintln(os.Stderr, "fpmonitor: unknown format", *formatName)
-		os.Exit(2)
+		exit(2)
 	}
 
 	ran := 0
@@ -96,14 +105,18 @@ func main() {
 		span.AddItems(int64(rep.TotalOps))
 		span.End()
 		publishKernelRates(reg, k.Name, rep)
-		fmt.Printf("=== %s (%s) ===\n", k.Name, k.Description)
-		fmt.Printf("result: %s\n", f.String(res))
-		fmt.Print(rep.String())
-		fmt.Println()
+		fmt.Fprintf(out, "=== %s (%s) ===\n", k.Name, k.Description)
+		fmt.Fprintf(out, "result: %s\n", f.String(res))
+		fmt.Fprint(out, rep.String())
+		fmt.Fprintln(out)
 	}
 	if ran == 0 {
 		fmt.Fprintf(os.Stderr, "fpmonitor: no kernel named %q (try -list)\n", *name)
-		os.Exit(2)
+		exit(2)
+	}
+	// A plain return, not exit, so the deferred telemetry shutdown runs.
+	if cliout.Flush("fpmonitor", out, 0) != 0 {
+		os.Exit(1)
 	}
 }
 

@@ -16,9 +16,17 @@ import (
 	"os"
 	"strings"
 
+	"fpstudy/internal/cliout"
 	"fpstudy/internal/quiz"
 	"fpstudy/internal/survey"
 )
+
+// out buffers standard output; exit flushes it (see cliout).
+var out = bufio.NewWriter(os.Stdout)
+
+func exit(code int) {
+	os.Exit(cliout.Flush("fpquiz", out, code))
+}
 
 func main() {
 	answers := flag.Bool("answers", false, "print the oracle-derived answer key and exit")
@@ -27,37 +35,38 @@ func main() {
 
 	if *answers {
 		printAnswerKey(*section)
-		return
+	} else {
+		runInteractive(*section)
 	}
-	runInteractive(*section)
+	exit(0)
 }
 
 func printAnswerKey(section string) {
 	if section == "core" || section == "all" {
-		fmt.Println("Core quiz answer key (every answer derived by executing IEEE semantics)")
-		fmt.Println(strings.Repeat("=", 72))
+		fmt.Fprintln(out, "Core quiz answer key (every answer derived by executing IEEE semantics)")
+		fmt.Fprintln(out, strings.Repeat("=", 72))
 		for i, q := range quiz.CoreQuestions() {
 			res := q.Oracle()
-			fmt.Printf("\n%2d. %s\n", i+1, q.Label)
-			fmt.Printf("    %s\n", indent(q.Snippet, "    "))
-			fmt.Printf("    Assertion: %s\n", q.Prompt)
-			fmt.Printf("    Answer: %v\n", res.Holds)
-			fmt.Printf("    Why: %s\n", res.Witness)
+			fmt.Fprintf(out, "\n%2d. %s\n", i+1, q.Label)
+			fmt.Fprintf(out, "    %s\n", indent(q.Snippet, "    "))
+			fmt.Fprintf(out, "    Assertion: %s\n", q.Prompt)
+			fmt.Fprintf(out, "    Answer: %v\n", res.Holds)
+			fmt.Fprintf(out, "    Why: %s\n", res.Witness)
 		}
 	}
 	if section == "opt" || section == "all" {
-		fmt.Println("\nOptimization quiz answer key")
-		fmt.Println(strings.Repeat("=", 72))
+		fmt.Fprintln(out, "\nOptimization quiz answer key")
+		fmt.Fprintln(out, strings.Repeat("=", 72))
 		for i, q := range quiz.OptQuestions() {
 			res := q.Oracle()
-			fmt.Printf("\n%2d. %s\n", i+1, q.Label)
-			fmt.Printf("    %s\n", q.Prompt)
+			fmt.Fprintf(out, "\n%2d. %s\n", i+1, q.Label)
+			fmt.Fprintf(out, "    %s\n", q.Prompt)
 			if q.IsTrueFalse() {
-				fmt.Printf("    Answer: %v\n", res.Holds)
+				fmt.Fprintf(out, "    Answer: %v\n", res.Holds)
 			} else {
-				fmt.Printf("    Answer: %s\n", q.CorrectChoice)
+				fmt.Fprintf(out, "    Answer: %s\n", q.CorrectChoice)
 			}
-			fmt.Printf("    Why: %s\n", res.Witness)
+			fmt.Fprintf(out, "    Why: %s\n", res.Witness)
 		}
 	}
 }
@@ -71,9 +80,12 @@ func runInteractive(section string) {
 	resp := survey.Response{Token: "you", Answers: map[string]survey.Answer{}}
 
 	ask := func(prompt string, options []string) string {
-		fmt.Println()
-		fmt.Println(prompt)
-		fmt.Printf("[%s] > ", strings.Join(options, "/"))
+		fmt.Fprintln(out)
+		fmt.Fprintln(out, prompt)
+		fmt.Fprintf(out, "[%s] > ", strings.Join(options, "/"))
+		// The prompt must show before the read blocks; a write error
+		// sticks, and exit reports it.
+		out.Flush() //nolint:errcheck
 		if !in.Scan() {
 			return ""
 		}
@@ -81,8 +93,8 @@ func runInteractive(section string) {
 	}
 
 	if section == "core" || section == "all" {
-		fmt.Println("Core quiz: for each code snippet, is the assertion true or false?")
-		fmt.Println("(t = true, f = false, d = don't know, enter = skip)")
+		fmt.Fprintln(out, "Core quiz: for each code snippet, is the assertion true or false?")
+		fmt.Fprintln(out, "(t = true, f = false, d = don't know, enter = skip)")
 		for i, q := range quiz.CoreQuestions() {
 			a := ask(fmt.Sprintf("%d/%d\n%s\n%s", i+1, 15, q.Snippet, q.Prompt),
 				[]string{"t", "f", "d"})
@@ -96,12 +108,12 @@ func runInteractive(section string) {
 			}
 		}
 		t := quiz.ScoreCore(resp)
-		fmt.Printf("\nCore quiz: %d correct, %d incorrect, %d don't know, %d unanswered (chance: %.1f; paper mean: 8.5)\n",
+		fmt.Fprintf(out, "\nCore quiz: %d correct, %d incorrect, %d don't know, %d unanswered (chance: %.1f; paper mean: 8.5)\n",
 			t.Correct, t.Incorrect, t.DontKnow, t.Unanswered, quiz.CoreChance)
 	}
 
 	if section == "opt" || section == "all" {
-		fmt.Println("\nOptimization quiz:")
+		fmt.Fprintln(out, "\nOptimization quiz:")
 		for _, q := range quiz.OptQuestions() {
 			if q.IsTrueFalse() {
 				a := ask(q.Prompt, []string{"t", "f", "d"})
@@ -123,9 +135,9 @@ func runInteractive(section string) {
 			}
 		}
 		t := quiz.ScoreOpt(resp)
-		fmt.Printf("\nOptimization quiz: %d correct, %d incorrect, %d don't know, %d unanswered\n",
+		fmt.Fprintf(out, "\nOptimization quiz: %d correct, %d incorrect, %d don't know, %d unanswered\n",
 			t.Correct, t.Incorrect, t.DontKnow, t.Unanswered)
 	}
 
-	fmt.Println("\nRun `fpquiz -answers` to see the oracle's explanations.")
+	fmt.Fprintln(out, "\nRun `fpquiz -answers` to see the oracle's explanations.")
 }

@@ -30,18 +30,18 @@ import (
 	"os"
 	"time"
 
+	"fpstudy/internal/cliout"
 	"fpstudy/internal/colstore"
 	"fpstudy/internal/core"
 	"fpstudy/internal/paperdata"
 	"fpstudy/internal/query"
 	"fpstudy/internal/quiz"
+	"fpstudy/internal/report"
 	"fpstudy/internal/runlog"
 	"fpstudy/internal/telemetry"
 )
 
-// out buffers standard output; finish flushes it, so that a failed
-// write (a full disk, a closed pipe) ends the run with exit status 1
-// instead of a silent 0.
+// out buffers standard output; finish flushes it (see cliout).
 var out = bufio.NewWriter(os.Stdout)
 
 // ledger is this invocation's run-ledger record (nil when -runlog is
@@ -49,13 +49,15 @@ var out = bufio.NewWriter(os.Stdout)
 // carries the real exit status.
 var ledger *runlog.Run
 
+// rendering is the root span over formatting and the stdout flush; nil
+// until the report starts rendering, and ended by finish.
+var rendering *telemetry.Span
+
 // finish flushes standard output and records the run in the ledger. It
 // returns code, or 1 when the output could not be written.
 func finish(code int) int {
-	if err := out.Flush(); err != nil {
-		fmt.Fprintln(os.Stderr, "fpreport: writing output:", err)
-		code = 1
-	}
+	code = cliout.Flush("fpreport", out, code)
+	rendering.End()
 	ledger.Finish(code)
 	return code
 }
@@ -83,7 +85,6 @@ func main() {
 	studentData := flag.String("studentdata", "", "student-cohort dataset file (with -data; default regenerates students from -seed/-nstudents)")
 	workers := flag.Int("workers", 0, "worker goroutines (<=0 means GOMAXPROCS); never affects the data")
 	telemetryAddr := flag.String("telemetry", "", "serve live expvar+pprof introspection on this address (e.g. 127.0.0.1:6060)")
-	manifest := flag.String("manifest", "", "write a run manifest (seed, workers, stage spans, counters) to this path")
 	runlogPath := flag.String("runlog", os.Getenv("FPSTUDY_RUNLOG"), "append a run-ledger record (JSONL) to this file on exit (default $FPSTUDY_RUNLOG; empty disables); never affects the output")
 	flag.Parse()
 
@@ -138,17 +139,49 @@ func main() {
 		}
 		results = study.Run()
 	}
-	if *manifest != "" {
-		m := rec.Manifest("fpreport", *seed, *n, *workers)
-		m.Timestamp = time.Now().UTC().Format(time.RFC3339)
-		if err := telemetry.WriteManifest(*manifest, m); err != nil {
-			fmt.Fprintln(os.Stderr, "fpreport:", err)
-			exit(1)
+	// Each step runs under its own root span: the figures (one child
+	// per figure), the claims or an analysis, then render, which covers
+	// formatting and the stdout flush.
+	var figs []report.Table
+	var analysis *report.Table
+	var headline []core.Claim
+	wantClaims := false
+	switch {
+	case *calibration:
+		analysis = timed(rec, "calibration", results.CalibrationReport)
+	case *association:
+		analysis = timed(rec, "association", results.FactorAssociation)
+	case *items:
+		analysis = timed(rec, "items", results.ItemAnalysis)
+	case *intervention:
+		analysis = timed(rec, "intervention", results.InterventionReport)
+	case *confidence:
+		analysis = timed(rec, "confidence", results.ConfidenceReport)
+	case *fig != 0:
+		if *fig < 1 || *fig > 22 {
+			fmt.Fprintln(os.Stderr, "fpreport: figure number must be 1-22")
+			exit(2)
 		}
+		figs = figures(rec, results, *fig, *fig)
+	case *all:
+		figs = figures(rec, results, 1, 22)
+		wantClaims = true
+	case *claims:
+		wantClaims = true
+	default:
+		// Default: the paper's headline table and histogram.
+		figs = figures(rec, results, 12, 13)
+		wantClaims = true
+	}
+	if wantClaims {
+		sp := rec.StartSpan("claims")
+		headline = results.HeadlineClaims()
+		sp.AddItems(int64(len(headline)))
+		sp.End()
 	}
 
-	emit := func(num int) {
-		t := results.Figure(num)
+	rendering = rec.StartSpan("render")
+	for _, t := range figs {
 		switch {
 		case *csv:
 			fmt.Fprint(out, t.CSV())
@@ -158,43 +191,45 @@ func main() {
 			fmt.Fprintln(out, t.String())
 		}
 	}
-
-	switch {
-	case *calibration:
-		fmt.Fprintln(out, results.CalibrationReport().String())
-	case *association:
-		fmt.Fprintln(out, results.FactorAssociation().String())
-	case *items:
-		fmt.Fprintln(out, results.ItemAnalysis().String())
-	case *intervention:
-		fmt.Fprintln(out, results.InterventionReport().String())
-	case *confidence:
-		fmt.Fprintln(out, results.ConfidenceReport().String())
+	if analysis != nil {
+		fmt.Fprintln(out, analysis.String())
+	}
+	if *confidence {
 		fmt.Fprintf(out, "overconfidence index: %+.3f; optimization humility: %.2f\n",
 			results.OverconfidenceIndex(), results.OptHumilityIndex())
-	case *fig != 0:
-		if *fig < 1 || *fig > 22 {
-			fmt.Fprintln(os.Stderr, "fpreport: figure number must be 1-22")
-			exit(2)
-		}
-		emit(*fig)
-	case *all:
-		for i := 1; i <= 22; i++ {
-			emit(i)
-		}
-		printClaims(results)
-	case *claims:
-		printClaims(results)
-	default:
-		// Default: the paper's headline table and histogram.
-		emit(12)
-		emit(13)
-		printClaims(results)
+	}
+	code := 0
+	if wantClaims && !printClaims(headline) {
+		code = 1
 	}
 	// A plain return, not exit, so the deferred telemetry shutdown runs.
-	if finish(0) != 0 {
+	if finish(code) != 0 {
 		os.Exit(1)
 	}
+}
+
+// figures computes figures first through last under a "figures" root
+// span with one child per figure.
+func figures(rec *telemetry.Recorder, results *core.Results, first, last int) []report.Table {
+	sp := rec.StartSpan("figures")
+	defer sp.End()
+	var tables []report.Table
+	for num := first; num <= last; num++ {
+		c := sp.StartChild(fmt.Sprintf("figure-%02d", num))
+		tables = append(tables, results.Figure(num))
+		c.AddItems(1)
+		c.End()
+	}
+	sp.AddItems(int64(len(tables)))
+	return tables
+}
+
+// timed computes one analysis table under a root span named name.
+func timed(rec *telemetry.Recorder, name string, analysis func() report.Table) *report.Table {
+	sp := rec.StartSpan(name)
+	defer sp.End()
+	t := analysis()
+	return &t
 }
 
 // runQuery executes one ad-hoc expression through the vectorized
@@ -284,11 +319,13 @@ func resultsFromFiles(study core.Study, reg *telemetry.Registry, dataPath, stude
 	return study.ResultsFromColumns(main, students)
 }
 
-func printClaims(results *core.Results) {
+// printClaims prints the headline claims and reports whether all of
+// them pass.
+func printClaims(claims []core.Claim) bool {
 	fmt.Fprintln(out, "Headline claims (Section IV)")
 	fmt.Fprintln(out, "============================")
 	ok := true
-	for _, c := range results.HeadlineClaims() {
+	for _, c := range claims {
 		status := "PASS"
 		if !c.Pass {
 			status = "FAIL"
@@ -296,7 +333,5 @@ func printClaims(results *core.Results) {
 		}
 		fmt.Fprintf(out, "  [%s] %-34s %s\n", status, c.Name, c.Detail)
 	}
-	if !ok {
-		exit(1)
-	}
+	return ok
 }

@@ -30,6 +30,7 @@ import (
 	"fmt"
 	"os"
 
+	"fpstudy/internal/cliout"
 	"fpstudy/internal/colstore"
 	"fpstudy/internal/query"
 	"fpstudy/internal/quiz"
@@ -39,9 +40,7 @@ import (
 
 var workers = flag.Int("workers", 0, "worker goroutines for codec/view fan-out (<=0 means GOMAXPROCS)")
 
-// out buffers standard output; finish flushes it, so that a failed
-// write (a full disk, a closed pipe) ends the run with exit status 1
-// instead of a silent 0.
+// out buffers standard output; finish flushes it (see cliout).
 var out = bufio.NewWriter(os.Stdout)
 
 // ledger is this invocation's run-ledger record (nil when -runlog is
@@ -52,10 +51,7 @@ var ledger *runlog.Run
 // finish flushes standard output and records the run in the ledger. It
 // returns code, or 1 when the output could not be written.
 func finish(code int) int {
-	if err := out.Flush(); err != nil {
-		fmt.Fprintln(os.Stderr, "fpsurvey: writing output:", err)
-		code = 1
-	}
+	code = cliout.Flush("fpsurvey", out, code)
 	ledger.Finish(code)
 	return code
 }

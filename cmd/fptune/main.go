@@ -11,13 +11,22 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
 
+	"fpstudy/internal/cliout"
 	"fpstudy/internal/expr"
 	"fpstudy/internal/tuner"
 )
+
+// out buffers standard output; exit flushes it (see cliout).
+var out = bufio.NewWriter(os.Stdout)
+
+func exit(code int) {
+	os.Exit(cliout.Flush("fptune", out, code))
+}
 
 func main() {
 	tol := flag.Float64("tol", 1e-6, "maximum relative error vs binary64")
@@ -26,26 +35,27 @@ func main() {
 	flag.Parse()
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: fptune [-tol t] [-corpus n] '<expression>'")
-		os.Exit(2)
+		exit(2)
 	}
 	n, err := expr.Parse(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fptune:", err)
-		os.Exit(1)
+		exit(1)
 	}
 	corpus := tuner.Corpus(n, *corpusSize, *seed)
 	res := tuner.Tune(n, corpus, *tol)
 
-	fmt.Printf("expression:   %s\n", n.String())
-	fmt.Printf("tolerance:    %g relative\n", *tol)
-	fmt.Printf("corpus:       %d inputs\n", len(corpus))
-	fmt.Printf("operations:   %d tunable\n", res.Ops)
-	fmt.Printf("demoted:      %d (saving %d significand bits total)\n", res.Demoted, res.BitsSaved)
-	fmt.Printf("worst error:  %.3g relative\n", res.MaxRelError)
-	fmt.Printf("trials:       %d\n", res.Trials)
+	fmt.Fprintf(out, "expression:   %s\n", n.String())
+	fmt.Fprintf(out, "tolerance:    %g relative\n", *tol)
+	fmt.Fprintf(out, "corpus:       %d inputs\n", len(corpus))
+	fmt.Fprintf(out, "operations:   %d tunable\n", res.Ops)
+	fmt.Fprintf(out, "demoted:      %d (saving %d significand bits total)\n", res.Demoted, res.BitsSaved)
+	fmt.Fprintf(out, "worst error:  %.3g relative\n", res.MaxRelError)
+	fmt.Fprintf(out, "trials:       %d\n", res.Trials)
 	if len(res.Assignment) == 0 {
-		fmt.Println("assignment:   everything stays binary64")
-		return
+		fmt.Fprintln(out, "assignment:   everything stays binary64")
+	} else {
+		fmt.Fprintf(out, "assignment:   %s\n", res.Assignment)
 	}
-	fmt.Printf("assignment:   %s\n", res.Assignment)
+	exit(0)
 }

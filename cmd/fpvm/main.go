@@ -12,12 +12,14 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
 	"strconv"
 	"strings"
 
+	"fpstudy/internal/cliout"
 	"fpstudy/internal/fpvm"
 	"fpstudy/internal/ieee754"
 	"fpstudy/internal/lint"
@@ -40,6 +42,13 @@ func (v varFlags) Set(s string) error {
 	return nil
 }
 
+// out buffers standard output; exit flushes it (see cliout).
+var out = bufio.NewWriter(os.Stdout)
+
+func exit(code int) {
+	os.Exit(cliout.Flush("fpvm", out, code))
+}
+
 func main() {
 	vars := varFlags{}
 	flag.Var(vars, "var", "bind a variable, e.g. -var n=100 (repeatable)")
@@ -58,17 +67,17 @@ func main() {
 
 	if *list {
 		for _, p := range fpvm.SamplePrograms() {
-			fmt.Printf("%-16s %d instructions\n", p.Name, len(p.Code))
+			fmt.Fprintf(out, "%-16s %d instructions\n", p.Name, len(p.Code))
 		}
-		return
+		exit(0)
 	}
 	if *dis != "" {
 		p, ok := builtins[*dis]
 		if !ok {
 			fatal(fmt.Errorf("unknown program %q", *dis))
 		}
-		fmt.Print(p.Disassemble())
-		return
+		fmt.Fprint(out, p.Disassemble())
+		exit(0)
 	}
 
 	var prog *fpvm.Program
@@ -91,7 +100,7 @@ func main() {
 		prog = p
 	default:
 		flag.Usage()
-		os.Exit(2)
+		exit(2)
 	}
 
 	formats := map[string]ieee754.Format{
@@ -114,22 +123,23 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("program: %s (%s)\n", prog.Name, f.Name)
-	fmt.Printf("result:  %s\n", f.String(res))
+	fmt.Fprintf(out, "program: %s (%s)\n", prog.Name, f.Name)
+	fmt.Fprintf(out, "result:  %s\n", f.String(res))
 	if findings := lint.CheckProgram(prog); len(findings) > 0 {
-		fmt.Println("static analysis:")
+		fmt.Fprintln(out, "static analysis:")
 		for _, fd := range findings {
-			fmt.Printf("  %s\n", fd)
+			fmt.Fprintf(out, "  %s\n", fd)
 		}
 	}
 	if *trace {
-		fmt.Print(tr.TraceReport())
+		fmt.Fprint(out, tr.TraceReport())
 	} else {
-		fmt.Print(tr.Report().String())
+		fmt.Fprint(out, tr.Report().String())
 	}
+	exit(0)
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "fpvm:", err)
-	os.Exit(1)
+	exit(1)
 }

@@ -1,9 +1,12 @@
-// Package runlog is the structured run ledger of the pipeline CLIs:
+// Package runlog is the structured run record of the pipeline CLIs:
 // every invocation of fpgen, fpreport and fpsurvey appends one JSONL
-// record — command and arguments, host fingerprint, VCS revision, wall
-// and per-stage durations, latency quantiles, key counters, golden
-// hashes when computed, and exit status — to a configurable ledger
-// file, so a slow or failed run leaves evidence of where its time went.
+// record — command, arguments and resolved flags, host fingerprint, VCS
+// revision, wall and per-stage durations, latency quantiles, final
+// counters and gauges, golden hashes when computed, and exit status —
+// to a configurable ledger file, so a slow or failed run leaves
+// evidence of where its time went. The same record, alone in its file,
+// is the provenance sidecar fpgen writes next to each dataset
+// ("<out>.manifest.json"), so one reader (Read) serves both.
 //
 // # Determinism contract
 //
@@ -15,8 +18,9 @@
 //
 // # File format
 //
-// One JSON object per line, append-only (O_APPEND, so concurrent
-// writers interleave whole lines). Readers must tolerate a truncated
+// One JSON object per line (json.Marshal of a Record plus "\n"),
+// append-only (O_APPEND, so concurrent writers interleave whole lines);
+// a sidecar is a one-line ledger. Readers must tolerate a truncated
 // final line: a crashed writer may leave one, and a ledger is too
 // valuable to abandon over its last record. Read skips unparsable
 // lines and reports how many it skipped.
@@ -25,6 +29,7 @@ package runlog
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"runtime"
@@ -43,11 +48,12 @@ import (
 //
 //	1 — initial: tool/args/timestamp/host/vcs/wall_seconds/stages/
 //	    latency/counters/golden/exit_status.
-const Schema = 1
+//	2 — flags (every flag's resolved value, defaults included) and
+//	    gauges (final nonzero values); the record doubles as fpgen's
+//	    dataset sidecar.
+const Schema = 2
 
-// Host is the machine fingerprint stamped on every record, matching
-// the fields of the run manifest (same JSON names), so ledger records
-// and manifests agree on provenance.
+// Host is the machine fingerprint stamped on every record.
 type Host struct {
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
@@ -69,18 +75,6 @@ func CurrentHost() Host {
 		GoVersion:  runtime.Version(),
 		SerialHost: runtime.GOMAXPROCS(0) == 1,
 	}
-}
-
-// Key renders the fingerprint compactly for grouping and display
-// ("linux/amd64 cpu=8 procs=8 go1.24.0", with " serial" appended on
-// serial hosts). Two hosts with equal keys are comparable for
-// benchmarking purposes.
-func (h Host) Key() string {
-	k := fmt.Sprintf("%s/%s cpu=%d procs=%d %s", h.GOOS, h.GOARCH, h.NumCPU, h.GOMAXPROCS, h.GoVersion)
-	if h.SerialHost {
-		k += " serial"
-	}
-	return k
 }
 
 // Stage is one flattened span-tree node: Name is the slash-joined
@@ -108,11 +102,15 @@ type StageLatency struct {
 // Record is one ledger line: everything needed to audit what a CLI
 // invocation did, where it ran, and how its time was spent.
 type Record struct {
-	Schema    int      `json:"schema"`
-	Tool      string   `json:"tool"`
-	Args      []string `json:"args,omitempty"`
-	Timestamp string   `json:"timestamp"` // RFC3339, invocation start
-	Host      Host     `json:"host"`
+	Schema int      `json:"schema"`
+	Tool   string   `json:"tool"`
+	Args   []string `json:"args,omitempty"`
+	// Flags is the resolved value of every command-line flag, defaults
+	// included, so a record shows the seed a run used even when the
+	// invocation left it out.
+	Flags     map[string]string `json:"flags,omitempty"`
+	Timestamp string            `json:"timestamp"` // RFC3339, invocation start
+	Host      Host              `json:"host"`
 	// VCS identifies the source revision the binary was built from
 	// (runtime/debug.ReadBuildInfo); nil when the binary carries no VCS
 	// stamp (go run, test binaries).
@@ -127,6 +125,9 @@ type Record struct {
 	Latency []StageLatency `json:"latency,omitempty"`
 	// Counters is the final value of every nonzero registry counter.
 	Counters map[string]int64 `json:"counters,omitempty"`
+	// Gauges is the final value of every nonzero registry gauge (heap
+	// and GC gauges, interned-string counts).
+	Gauges map[string]float64 `json:"gauges,omitempty"`
 	// Golden holds content hashes computed during the run (e.g. the
 	// sha256 of a dataset fpgen emitted), keyed by artifact name, so a
 	// ledger line can later prove two runs produced identical bytes.
@@ -185,11 +186,11 @@ func latencyRows(lats map[string]telemetry.LatencySnapshot) []StageLatency {
 	return out
 }
 
-// Run accumulates one CLI invocation's ledger record. Start it first
-// thing in main, call SetGolden as artifacts are hashed, and Finish
-// exactly once on every exit path (the CLIs route os.Exit through a
-// helper that does). The nil *Run accepts every method as a no-op, so
-// an invocation with no ledger configured costs nothing.
+// Run accumulates one CLI invocation's record. Open it (New or Start)
+// first thing in main, call SetGolden as artifacts are hashed, and
+// Finish exactly once on every exit path (the CLIs route os.Exit
+// through a helper that does). The nil *Run accepts every method as a
+// no-op, so an invocation with no ledger configured costs nothing.
 type Run struct {
 	path  string
 	rec   Record
@@ -198,16 +199,14 @@ type Run struct {
 	trec  *telemetry.Recorder
 }
 
-// Start opens a ledger run for the tool. path is the ledger file
-// ("" disables: returns nil, and every later call no-ops). args are
-// the invocation's command-line arguments. reg/trec supply the
-// counters, latency tables, and span forest at Finish time; either
-// may be nil.
-func Start(path, tool string, args []string, reg *telemetry.Registry, trec *telemetry.Recorder) *Run {
-	if path == "" {
-		return nil
-	}
-	return &Run{
+// New opens a run record for the tool. path is the ledger Finish and
+// Commit append to; "" appends nowhere, for a caller that writes the
+// record elsewhere (fpgen's dataset sidecar). args are the invocation's
+// command-line arguments; the flags are read from flag.CommandLine once
+// it has been parsed. reg/trec supply the counters, gauges, latency
+// tables and span forest at Record time; either may be nil.
+func New(path, tool string, args []string, reg *telemetry.Registry, trec *telemetry.Recorder) *Run {
+	r := &Run{
 		path: path,
 		rec: Record{
 			Schema:    Schema,
@@ -221,6 +220,20 @@ func Start(path, tool string, args []string, reg *telemetry.Registry, trec *tele
 		reg:   reg,
 		trec:  trec,
 	}
+	if flag.Parsed() {
+		r.rec.Flags = map[string]string{}
+		flag.VisitAll(func(f *flag.Flag) { r.rec.Flags[f.Name] = f.Value.String() })
+	}
+	return r
+}
+
+// Start is New for a record that only goes to a ledger: path ""
+// returns nil, and every later call no-ops.
+func Start(path, tool string, args []string, reg *telemetry.Registry, trec *telemetry.Recorder) *Run {
+	if path == "" {
+		return nil
+	}
+	return New(path, tool, args, reg, trec)
 }
 
 // SetGolden records a content hash computed during the run (no-op on
@@ -235,45 +248,77 @@ func (r *Run) SetGolden(name, hash string) {
 	r.rec.Golden[name] = hash
 }
 
-// Finish assembles the record (wall time, exit status, stage tree,
-// latency quantiles, nonzero counters) and appends it to the ledger.
-// Errors go to stderr rather than the caller: a full disk must not
-// turn a successful pipeline run into a failure. No-op on nil; safe
-// to call at most once per Run.
-func (r *Run) Finish(exitStatus int) {
+// Record completes the run's record as of now: wall time, exit status,
+// stage tree, latency quantiles, nonzero counters and gauges. The zero
+// Record on nil.
+func (r *Run) Record(exitStatus int) Record {
 	if r == nil {
+		return Record{}
+	}
+	rec := r.rec
+	rec.WallSeconds = time.Since(r.start).Seconds()
+	rec.ExitStatus = exitStatus
+	rec.Stages = FlattenSpans(r.trec.Spans())
+	snap := r.reg.Snapshot()
+	rec.Latency = latencyRows(snap.Latencies)
+	rec.Counters = nonzero(snap.Counters)
+	rec.Gauges = nonzero(snap.Gauges)
+	return rec
+}
+
+// nonzero copies the nonzero entries of m; nil when there are none.
+func nonzero[V int64 | float64](m map[string]V) map[string]V {
+	var out map[string]V
+	for name, v := range m {
+		if v != 0 {
+			if out == nil {
+				out = map[string]V{}
+			}
+			out[name] = v
+		}
+	}
+	return out
+}
+
+// Commit appends rec to the run's ledger, if it has one. Errors go to
+// stderr rather than the caller: a full disk must not turn a
+// successful pipeline run into a failure. No-op on nil.
+func (r *Run) Commit(rec Record) {
+	if r == nil || r.path == "" {
 		return
 	}
-	r.rec.WallSeconds = time.Since(r.start).Seconds()
-	r.rec.ExitStatus = exitStatus
-	r.rec.Stages = FlattenSpans(r.trec.Spans())
-	snap := r.reg.Snapshot()
-	r.rec.Latency = latencyRows(snap.Latencies)
-	if len(snap.Counters) > 0 {
-		counters := make(map[string]int64, len(snap.Counters))
-		for name, v := range snap.Counters {
-			if v != 0 {
-				counters[name] = v
-			}
-		}
-		if len(counters) > 0 {
-			r.rec.Counters = counters
-		}
-	}
-	if err := Append(r.path, r.rec); err != nil {
+	if err := Append(r.path, rec); err != nil {
 		fmt.Fprintf(os.Stderr, "runlog: %v\n", err)
 	}
+}
+
+// Finish commits Record(exitStatus) to the ledger. No-op on nil; call
+// it at most once per Run.
+func (r *Run) Finish(exitStatus int) {
+	r.Commit(r.Record(exitStatus))
 }
 
 // Append writes one record as a JSONL line (O_APPEND: concurrent
 // appenders interleave whole lines; an existing ledger is never
 // rewritten).
 func Append(path string, rec Record) error {
+	return write(path, rec, os.O_APPEND)
+}
+
+// WriteFile writes rec as a one-record ledger at path, replacing any
+// file there.
+func WriteFile(path string, rec Record) error {
+	return write(path, rec, os.O_TRUNC)
+}
+
+// write is the one record writer: json.Marshal of rec plus "\n",
+// opened with mode (O_APPEND or O_TRUNC).
+func write(path string, rec Record, mode int) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|mode, 0o644)
 	if err != nil {
 		return err
 	}

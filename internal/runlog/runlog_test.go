@@ -126,6 +126,8 @@ func TestRunLifecycle(t *testing.T) {
 	trec := telemetry.NewRecorder(reg)
 	reg.Counter("io.bytes_written").Add(42)
 	reg.Counter("zero.counter") // stays 0: must be elided
+	reg.Gauge("mem.heap_alloc").Set(1 << 20)
+	reg.Gauge("zero.gauge") // stays 0: must be elided
 	reg.Latency("latency.sample_block").Observe(3 * time.Millisecond)
 	sp := trec.StartSpan("generate")
 	sp.AddItems(7)
@@ -161,6 +163,9 @@ func TestRunLifecycle(t *testing.T) {
 	if _, ok := rec.Counters["zero.counter"]; ok {
 		t.Errorf("zero counter not elided: %+v", rec.Counters)
 	}
+	if len(rec.Gauges) != 1 || rec.Gauges["mem.heap_alloc"] != 1<<20 {
+		t.Errorf("gauges: %+v", rec.Gauges)
+	}
 	if rec.Golden["dataset"] != "abc123" {
 		t.Errorf("golden: %+v", rec.Golden)
 	}
@@ -178,15 +183,4 @@ func TestNilRunNoOps(t *testing.T) {
 	}
 	r.SetGolden("x", "y") // must not panic
 	r.Finish(1)           // must not panic
-}
-
-func TestHostKey(t *testing.T) {
-	h := Host{GOOS: "linux", GOARCH: "amd64", NumCPU: 4, GOMAXPROCS: 4, GoVersion: "go1.24.0"}
-	if got := h.Key(); got != "linux/amd64 cpu=4 procs=4 go1.24.0" {
-		t.Errorf("Key() = %q", got)
-	}
-	h.SerialHost = true
-	if got := h.Key(); got != "linux/amd64 cpu=4 procs=4 go1.24.0 serial" {
-		t.Errorf("serial Key() = %q", got)
-	}
 }

@@ -1,7 +1,8 @@
 // Package telemetry is the zero-dependency observability layer of the
 // study pipeline: an atomic metrics registry (counters, gauges,
-// fixed-bucket histograms), a span tree for stage timing, an expvar /
-// pprof HTTP surface, and a run-manifest exporter.
+// fixed-bucket histograms), a span tree for stage timing, and an
+// expvar / pprof HTTP surface. internal/runlog turns a run's spans and
+// metrics into its run record.
 //
 // # Determinism contract
 //

@@ -193,7 +193,6 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil recorder returned spans")
 	}
 	rec.PublishExpvar("nil-rec")
-	_ = rec.Manifest("tool", 1, 2, 3)
 
 	sp.AddItems(10)
 	sp.End()

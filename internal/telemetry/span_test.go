@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -134,46 +132,5 @@ func TestServeExpvar(t *testing.T) {
 	pp.Body.Close()
 	if pp.StatusCode != http.StatusOK || !strings.Contains(string(ppBody), "goroutine") {
 		t.Errorf("pprof index bad: status %d", pp.StatusCode)
-	}
-}
-
-func TestManifestRoundTrip(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("fp.ops").Add(9)
-	rec := NewRecorder(reg)
-	sp := rec.StartSpan("generate")
-	sp.AddItems(199)
-	sp.End()
-
-	m := rec.Manifest("fpgen", 42, 199, 4)
-	path := t.TempDir() + "/out.json.manifest.json"
-	if err := WriteManifest(path, m); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Manifest
-	if err := json.Unmarshal(data, &got); err != nil {
-		t.Fatal(err)
-	}
-	if got.Tool != "fpgen" || got.Seed != 42 || got.N != 199 || got.Workers != 4 {
-		t.Errorf("manifest header = %+v", got)
-	}
-	if got.NumCPU != runtime.NumCPU() {
-		t.Errorf("manifest num_cpu = %d, want %d", got.NumCPU, runtime.NumCPU())
-	}
-	if want := runtime.GOMAXPROCS(0) == 1; got.SerialHost != want {
-		t.Errorf("manifest serial_host = %v, want %v", got.SerialHost, want)
-	}
-	if got.Metrics.Counters["fp.ops"] != 9 {
-		t.Errorf("manifest metrics = %+v", got.Metrics)
-	}
-	if len(got.Spans) != 1 || got.Spans[0].Items != 199 {
-		t.Errorf("manifest spans = %+v", got.Spans)
-	}
-	if ManifestPath("x/out.json") != "x/out.json.manifest.json" {
-		t.Errorf("ManifestPath = %q", ManifestPath("x/out.json"))
 	}
 }

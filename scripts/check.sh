@@ -11,6 +11,15 @@ go build ./...
 echo "==> go vet ./..."
 go vet ./...
 
+# The smoke programs under scripts/ carry //go:build ignore (each runs
+# as `go run scripts/<name>.go`), so ./... skips them and they could
+# rot unnoticed; vet each one by file name, as bash -n does below for
+# the shell scripts.
+echo "==> go vet scripts/*.go"
+for prog in $(git grep -l '^//go:build ignore' -- 'scripts/*.go'); do
+	go vet "$prog"
+done
+
 # Every tracked Go file, the nested perfbench module included, must be
 # gofmt-clean.
 echo "==> gofmt -l"
